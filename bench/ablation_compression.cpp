@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/experiment_util.h"
-#include "fl/compression.h"
+#include "comm/compression.h"
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
@@ -42,13 +42,13 @@ int main(int argc, char** argv) {
 
   struct Variant {
     std::string name;
-    std::shared_ptr<const fl::Compressor> compressor;  // null = dense
+    std::shared_ptr<const comm::Compressor> compressor;  // null = dense
   };
   const std::vector<Variant> variants = {
       {"dense uplink", nullptr},
-      {"top-k 20%", std::make_shared<fl::TopKCompressor>(0.2)},
-      {"top-k 5%", std::make_shared<fl::TopKCompressor>(0.05)},
-      {"rand-k 20%", std::make_shared<fl::RandKCompressor>(0.2)},
+      {"top-k 20%", std::make_shared<comm::TopKCompressor>(0.2)},
+      {"top-k 5%", std::make_shared<comm::TopKCompressor>(0.05)},
+      {"rand-k 20%", std::make_shared<comm::RandKCompressor>(0.2)},
   };
 
   core::HyperParams hp;
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     fl::TrainerOptions run_cfg;
     run_cfg.rounds = rounds;
     run_cfg.seed = seed;
-    run_cfg.uplink_compressor = variant.compressor;
+    run_cfg.comm.compressor = variant.compressor;
     auto trace = core::run_federated(model, fed, spec, run_cfg);
     std::printf("%-14s  %12.5f  %11.2f%%  %14.3f\n", variant.name.c_str(),
                 trace.back().train_loss,

@@ -28,7 +28,6 @@ void ChannelOptions::validate() const {
                       << latency_fraction);
   // dtype_name throws on an out-of-range tag (possible via memcpy'd enums).
   (void)dtype_name(uplink_dtype);
-  (void)dtype_name(downlink_dtype);
 }
 
 bool ChannelOptions::transforms_uplink() const {
@@ -101,7 +100,7 @@ std::size_t Channel::uplink_wire_bytes() const {
 }
 
 std::size_t Channel::downlink_wire_bytes() const {
-  return wire_bytes(options_.downlink_dtype, dim_, dim_, /*sparse=*/false);
+  return wire_bytes(DType::kFloat64, dim_, dim_, /*sparse=*/false);
 }
 
 double Channel::link_round_time(const fl::TimingModel& timing) const {

@@ -62,10 +62,9 @@ struct ChannelOptions {
   /// compressors (TopK) and lossy dtypes convergent; a no-op for the
   /// exact dense float64 path.
   bool error_feedback = false;
-  /// Value encoding of uplink payloads (device -> server).
+  /// Value encoding of uplink payloads (device -> server). The downlink
+  /// broadcast is always the exact dense float64 model.
   DType uplink_dtype = DType::kFloat64;
-  /// Value encoding of the downlink model broadcast (server -> device).
-  DType downlink_dtype = DType::kFloat64;
   /// When true, per-device round time uses d_com derived from the actual
   /// serialized message bytes via LinkModel::derive (calibrated so an
   /// uncompressed float64 exchange costs the TimingModel's d_com); when
@@ -74,8 +73,8 @@ struct ChannelOptions {
   /// Fraction of d_com that is latency floor under byte_timing.
   double latency_fraction = 0.5;
 
-  /// Always-on validation (util/error.h): dtype tags and latency_fraction
-  /// must be meaningful in every build configuration.
+  /// Always-on validation (util/error.h): the dtype tag and
+  /// latency_fraction must be meaningful in every build configuration.
   void validate() const;
 
   /// True when the uplink transforms values at all (compression, lossy
@@ -117,7 +116,8 @@ class Channel {
   /// charged at this size.
   [[nodiscard]] std::size_t uplink_wire_bytes() const;
 
-  /// Serialized size of the dense downlink model broadcast.
+  /// Serialized size of the downlink model broadcast: a dense float64
+  /// frame.
   [[nodiscard]] std::size_t downlink_wire_bytes() const;
 
   /// Round-trip link time (downlink + one uplink) under byte_timing,

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <numeric>
+#include <functional>
 
-#include "check/check.h"
-#include "fl/event_engine.h"
 #include "fl/trainer.h"
-#include "opt/workspace.h"
 #include "tensor/vecops.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -32,6 +28,192 @@ void ProxSkipVROptions::validate() const {
                   "Byzantine experiments");
 }
 
+namespace {
+
+/// ProxSkip-VR as a round policy of fl::Trainer: one iteration is one
+/// round. Every non-crashed device takes one SVRG step, the shared coin
+/// decides whether the iteration communicates, and on heads the server
+/// takes the consensus prox step and every device updates its control
+/// variate.
+///
+/// Per-device state lives in flat num_devices×dim slabs, device n's view a
+/// subspan touched only from its own parallel index (determinism
+/// contract). ProxSkip-VR is a full-participation algorithm — every device
+/// holds a live iterate and control variate between rounds — so O(N·dim)
+/// state is inherent here.
+class ProxSkipVRPolicy final : public fl::RoundPolicy {
+ public:
+  ProxSkipVRPolicy(std::shared_ptr<const nn::Model> model,
+                   const data::FederatedDataset& fed,
+                   const ProxSkipVROptions& options)
+      : model_(std::move(model)),
+        fed_(fed),
+        options_(options),
+        dim_(model_->num_parameters()) {
+    weights_.reserve(fed.num_devices());
+    for (std::size_t n = 0; n < fed.num_devices(); ++n) {
+      weights_.push_back(fed.weight(n));
+      total_samples_ += fed.train[n].size();
+    }
+  }
+
+  std::size_t begin(std::vector<double> w0) override {
+    anchor_ = std::move(w0);  // the last broadcast consensus model
+    x_.resize(fed_.num_devices() * dim_);
+    for (std::size_t n = 0; n < fed_.num_devices(); ++n) {
+      tensor::copy(anchor_, view(x_, n));
+    }
+    h_.assign(x_.size(), 0.0);
+    anchor_grad_.assign(x_.size(), 0.0);
+    x_next_.assign(dim_, 0.0);
+    xbar_.assign(dim_, 0.0);
+    return refresh_anchor_gradients();
+  }
+
+  // The shared skip coin: one draw per iteration, device coordinate 0 of
+  // the kComm stream (per-device comm streams use coordinates >= 1).
+  [[nodiscard]] bool communicates(std::size_t t) const override {
+    util::Rng coin = util::fork(options_.seed, 0, t, util::stream::kComm);
+    return coin.uniform() < options_.skip_prob;
+  }
+
+  // A device whose upload is lost keeps its local step.
+  [[nodiscard]] bool steps_undelivered() const override { return true; }
+
+  // x̂ = x − γ(g − h) with the SVRG estimator; on a delivered
+  // communication round, the proposal goes up as a delta.
+  fl::StepResult local_step(const fl::LocalStep& step) override {
+    const std::size_t n = step.device;
+    const data::Dataset& ds = fed_.train[n];
+    const std::size_t batch = std::min(options_.batch_size, ds.size());
+    util::Rng rng =
+        util::fork(options_.seed, n + 1, step.round, util::stream::kSampling);
+    std::vector<std::size_t>& idx = step.ws.batch;
+    idx.resize(batch);
+    for (auto& i : idx) i = rng.below(ds.size());
+
+    // SVRG estimator: ∇f_B(x_n) − ∇f_B(anchor) + ∇F_n(anchor), with the
+    // same minibatch at both points (eq. 8b).
+    std::vector<double>& g = step.ws.grad_curr;
+    g.resize(dim_);
+    std::vector<double>& g_anchor = step.ws.grad_ref;
+    g_anchor.resize(dim_);
+    const std::span<double> xn = view(x_, n);
+    const std::span<const double> hn = view(h_, n);
+    const std::span<const double> agn = view(anchor_grad_, n);
+    model_->loss_and_gradient(xn, ds, idx, g);
+    model_->loss_and_gradient(anchor_, ds, idx, g_anchor);
+    // v = g − g_anchor + anchor_grad; x̂ = x − γ(v − h), written in place.
+    const double gamma = options_.step_size;
+    for (std::size_t i = 0; i < dim_; ++i) {
+      const double v = g[i] - g_anchor[i] + agn[i];
+      xn[i] -= gamma * (v - hn[i]);
+    }
+    fl::StepResult out{.grad_evals = 2 * batch, .iterations = 1};
+    if (step.uploads) {
+      // Proposal y_n = x̂_n − (γ/p) h_n, uploaded as a delta against the
+      // shared anchor so sparsification/quantization compress the small
+      // innovation, not the full model.
+      const double gamma_over_p = gamma / options_.skip_prob;
+      std::vector<double>& up = step.upload;
+      up.resize(dim_);
+      for (std::size_t i = 0; i < dim_; ++i) {
+        up[i] = xn[i] - gamma_over_p * hn[i] - anchor_[i];
+      }
+      util::Rng comm_rng =
+          util::fork(options_.seed, n + 1, step.round, util::stream::kComm);
+      out.uplink_bytes = step.channel.uplink(n, up, comm_rng);
+    }
+    return out;
+  }
+
+  // The consensus prox step over the decoded deltas, then the control
+  // variates and the broadcast. Zero survivors degrade the round to a skip
+  // round: no broadcast, no h update (the uplink attempts are still
+  // charged).
+  fl::ServerUpdate server_update(const fl::ServerRound& round) override {
+    if (round.survivors.empty()) return {};
+    survivor_weights_.clear();
+    survivor_weights_.reserve(round.survivors.size());
+    for (const std::size_t k : round.survivors) {
+      survivor_weights_.push_back(weights_[round.participants[k]]);
+    }
+    // Reduced through the sanctioned helper.
+    const double weight_sum = tensor::sum(survivor_weights_);
+    // x_{t+1} = anchor + Σ survivors (w_n / Σw) (decoded delta_n),
+    // ascending device order (determinism contract).
+    tensor::copy(anchor_, x_next_);
+    for (const std::size_t k : round.survivors) {
+      tensor::axpy(weights_[round.participants[k]] / weight_sum,
+                   round.uploads[k], x_next_);
+    }
+    // Reliable downlink: every device adopts the consensus and updates its
+    // control variate against its own x̂ (a crashed device's x̂ is its
+    // unchanged x_n).
+    const double p_over_gamma = options_.skip_prob / options_.step_size;
+    for_each_device([&](std::size_t n) {
+      const std::span<double> hn = view(h_, n);
+      const std::span<double> xn = view(x_, n);
+      for (std::size_t i = 0; i < dim_; ++i) {
+        hn[i] += p_over_gamma * (x_next_[i] - xn[i]);
+      }
+      tensor::copy(x_next_, xn);
+    });
+    tensor::copy(x_next_, anchor_);
+    return {.broadcast = fed_.num_devices(),
+            .grad_evals = refresh_anchor_gradients()};
+  }
+
+  // x̄_t = Σ_n (D_n/D) x_n — the iterate ProxSkip's analysis tracks; equals
+  // the broadcast model at communication rounds. Serial ascending
+  // accumulation.
+  std::span<const double> eval_point() override {
+    tensor::fill(xbar_, 0.0);
+    for (std::size_t n = 0; n < fed_.num_devices(); ++n) {
+      tensor::axpy(weights_[n], view(x_, n), xbar_);
+    }
+    return xbar_;
+  }
+
+ private:
+  std::span<double> view(std::vector<double>& slab, std::size_t n) const {
+    return std::span<double>(slab).subspan(n * dim_, dim_);
+  }
+
+  void for_each_device(const std::function<void(std::size_t)>& f) const {
+    util::ThreadPool& pool = util::ThreadPool::global();
+    if (options_.parallel && pool.size() > 1) {
+      pool.parallel_for(0, fed_.num_devices(), f);
+    } else {
+      for (std::size_t n = 0; n < fed_.num_devices(); ++n) f(n);
+    }
+  }
+
+  // ∇F_n(anchor) for every device, the SVRG reference; returns its cost.
+  std::size_t refresh_anchor_gradients() {
+    for_each_device([&](std::size_t n) {
+      model_->full_gradient(anchor_, fed_.train[n], view(anchor_grad_, n));
+    });
+    return total_samples_;
+  }
+
+  std::shared_ptr<const nn::Model> model_;
+  const data::FederatedDataset& fed_;
+  const ProxSkipVROptions& options_;
+  std::size_t dim_;
+  std::vector<double> weights_;  // D_n / D
+  std::size_t total_samples_ = 0;
+  std::vector<double> anchor_;
+  std::vector<double> x_;            // local iterates
+  std::vector<double> h_;            // control variates
+  std::vector<double> anchor_grad_;  // ∇F_n(anchor), SVRG
+  std::vector<double> x_next_;
+  std::vector<double> xbar_;
+  std::vector<double> survivor_weights_;
+};
+
+}  // namespace
+
 fl::TrainingTrace run_proxskip_vr(std::shared_ptr<const nn::Model> model,
                                   const data::FederatedDataset& fed,
                                   const ProxSkipVROptions& options,
@@ -40,324 +222,20 @@ fl::TrainingTrace run_proxskip_vr(std::shared_ptr<const nn::Model> model,
   FEDVR_CHECK_MSG(model != nullptr, "model must not be null");
   FEDVR_CHECK_MSG(fed.num_devices() >= 1, "need at least one device");
   options.validate();
-
-  const std::size_t num_devices = fed.num_devices();
-  const std::size_t dim = model->num_parameters();
-  const double gamma = options.step_size;
-  const double p = options.skip_prob;
-  const double gamma_over_p = gamma / p;
-  const double p_over_gamma = p / gamma;
-  const double backoff = options.faults.config().retry_backoff;
-
-  // Evaluation helper: reuse the trainer's pooled-test / global-objective
-  // machinery (eq. 2) without running its round loop.
-  const fl::Trainer evaluator(model, fed, fl::TrainerOptions{});
-
-  std::vector<double> anchor;  // last broadcast consensus model
-  if (w0.has_value()) {
-    FEDVR_CHECK_MSG(w0->size() == dim,
-                    "w0 has " << w0->size() << " parameters, model needs "
-                              << dim);
-    anchor = std::move(*w0);
-  } else {
-    util::Rng init_rng =
-        util::fork(options.seed, 0, 0, util::stream::kInit);
-    anchor = model->initial_parameters(init_rng);
-  }
-
-  // Per-device state in flat num_devices×dim slabs: one allocation each for
-  // the whole run instead of num_devices heap vectors per array, and
-  // device n's view is a subspan. Each view is touched only from its own
-  // device's parallel_for index (determinism contract). ProxSkip-VR is a
-  // full-participation algorithm — every device holds a live iterate and
-  // control variate between rounds — so O(N·dim) state is inherent here;
-  // the sampled O(m·dim) engine is fl::Trainer.
-  std::vector<double> x_slab(num_devices * dim);  // local iterates
-  for (std::size_t n = 0; n < num_devices; ++n) {
-    std::copy(anchor.begin(), anchor.end(),
-              x_slab.begin() + static_cast<std::ptrdiff_t>(n * dim));
-  }
-  std::vector<double> h_slab(num_devices * dim, 0.0);  // control variates
-  std::vector<double> anchor_grad_slab(num_devices * dim,
-                                       0.0);  // ∇F_n(anchor), SVRG
-  std::vector<double> uploads_slab(num_devices * dim, 0.0);
-  const auto device_view = [dim](std::vector<double>& slab, std::size_t n) {
-    return std::span<double>(slab).subspan(n * dim, dim);
-  };
-  std::vector<std::size_t> realized_uplink(num_devices, 0);
-  std::vector<std::size_t> grad_evals(num_devices, 0);  // cumulative
-  std::vector<fl::FaultEvent> events(num_devices);
-
-  // Pooled per-iteration solver scratch (batch indices, the two SVRG
-  // gradients): leased per device activation, so the inner loop allocates
-  // nothing once the pool is warm.
-  opt::WorkspacePool ws_pool;
-
-  comm::Channel channel(options.comm, num_devices, dim);
-  const bool byte_timing = options.comm.byte_timing;
-  fl::TimingModel timing = options.timing;
-  if (byte_timing) timing.d_com = channel.link_round_time(options.timing);
-
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const bool run_parallel = options.parallel && pool.size() > 1;
-
-  const auto refresh_anchor_gradients = [&](std::size_t n) {
-    model->full_gradient(anchor, fed.train[n], device_view(anchor_grad_slab, n));
-    grad_evals[n] += fed.train[n].size();
-  };
-  const auto for_each_device = [&](const std::function<void(std::size_t)>& f) {
-    if (run_parallel) {
-      pool.parallel_for(0, num_devices, f);
-    } else {
-      for (std::size_t n = 0; n < num_devices; ++n) f(n);
-    }
-  };
-  for_each_device(refresh_anchor_gradients);
-
-  fl::TrainingTrace trace;
-  trace.algorithm = name;
-
-  // Cumulative accounting (trace schema of fl::Trainer).
-  double model_time = 0.0;
-  std::size_t total_uplink_bytes = 0;
-  std::size_t total_downlink_bytes = 0;
-  std::size_t total_dropped = 0;
-  std::size_t total_undelivered = 0;
-  std::size_t total_stragglers = 0;
-  std::size_t total_uplink_retries = 0;
-
-  // x̄_t = Σ_n (D_n/D) x_n — the analysis-side average iterate; equals the
-  // broadcast model at communication rounds. Serial ascending accumulation.
-  std::vector<double> xbar(dim, 0.0);
-  const auto virtual_average = [&]() {
-    tensor::fill(xbar, 0.0);
-    for (std::size_t n = 0; n < num_devices; ++n) {
-      tensor::axpy(fed.weight(n), device_view(x_slab, n), xbar);
-    }
-  };
-  const auto record = [&](std::size_t t, double realized_round_time) {
-    virtual_average();
-    fl::RoundMetrics m;
-    m.round = t;
-    m.train_loss = evaluator.global_loss(xbar);
-    m.test_accuracy = evaluator.test_accuracy(xbar);
-    m.model_time = model_time;
-    m.uplink_bytes = total_uplink_bytes;
-    m.downlink_bytes = total_downlink_bytes;
-    m.comm_bytes = total_uplink_bytes + total_downlink_bytes;
-    m.sample_grad_evals =
-        std::accumulate(grad_evals.begin(), grad_evals.end(), std::size_t{0});
-    m.dropped_devices = total_dropped;
-    m.undelivered_updates = total_undelivered;
-    m.straggler_devices = total_stragglers;
-    m.uplink_retries = total_uplink_retries;
-    m.realized_round_time = realized_round_time;
-    m.param_hash = check::hash_span(xbar);
-    trace.rounds.push_back(m);
-  };
-
-  bool target_reached = false;
-  if (options.eval_initial) {
-    record(0, 0.0);
-    // Early stop can trigger at round 0: a run whose starting model already
-    // meets target_accuracy pays for no iterations at all. (The target
-    // check used to live only inside the iteration loop, so such a run
-    // still paid a full iteration before stopping.)
-    if (options.target_accuracy.has_value() &&
-        trace.rounds.back().test_accuracy >= *options.target_accuracy) {
-      target_reached = true;
-    }
-  }
-
-  std::vector<double> x_next(dim, 0.0);
-  // Head-round survivor bookkeeping, hoisted so capacity is reused.
-  std::vector<double> survivor_weights;
-  std::vector<std::size_t> uplinkers;
-  survivor_weights.reserve(num_devices);
-  uplinkers.reserve(num_devices);
-  // The iteration as a discrete-event schedule (fl/event_engine.h): slot n
-  // is device n (full participation).
-  fl::RoundSchedule schedule;
-
-  for (std::size_t t = 1; t <= options.iterations && !target_reached; ++t) {
-    // The shared skip coin: one draw per iteration, device coordinate 0 of
-    // the kComm stream (per-device comm streams use coordinates >= 1).
-    util::Rng coin_rng = util::fork(options.seed, 0, t, util::stream::kComm);
-    const bool communicate = coin_rng.uniform() < p;
-
-    for (std::size_t n = 0; n < num_devices; ++n) {
-      events[n] = options.faults.sample(options.seed, n, t);
-    }
-    std::fill(realized_uplink.begin(), realized_uplink.end(), 0);
-
-    // Build the event schedule before any device runs: completion
-    // timestamps are d_cmp·slowdown (tau = 1 local step) plus, on
-    // communication rounds, d_com times the retry backoff multiplier. No
-    // deadline here — the realized round time is the last non-crashed
-    // arrival, and the survivor set is exactly the devices whose proposal
-    // reaches the prox step.
-    std::vector<fl::ParticipantOutcome>& outcomes =
-        schedule.reset(num_devices);
-    for (std::size_t n = 0; n < num_devices; ++n) {
-      const fl::FaultEvent& e = events[n];
-      fl::ParticipantOutcome& oc = outcomes[n];
-      oc.device = n;
-      if (e.dropped) {
-        oc.crashed = true;
-        continue;
-      }
-      double t_n = timing.d_cmp * e.slowdown;
-      if (communicate) t_n += timing.d_com * e.com_multiplier(backoff);
-      oc.completion_time = t_n;
-      oc.undelivered = communicate && e.uplink_failed;
-    }
-    schedule.build(std::nullopt);
-
-    if (communicate && options.comm.error_feedback) {
-      // Serial registration of this round's uplinkers' error-feedback
-      // residual slots: the parallel section below must never mutate keyed
-      // channel state.
-      uplinkers.clear();
-      for (std::size_t n = 0; n < num_devices; ++n) {
-        if (!events[n].dropped && !events[n].uplink_failed) {
-          uplinkers.push_back(n);
-        }
-      }
-      channel.prepare(uplinkers);
-    }
-
-    // Local step (Alg. line "x̂ = x − γ(g − h)") on every live device.
-    for_each_device([&](std::size_t n) {
-      if (events[n].dropped) return;  // crashed: x_n, h_n stay put
-      const data::Dataset& ds = fed.train[n];
-      const std::size_t batch = std::min(options.batch_size, ds.size());
-      util::Rng rng = util::fork(options.seed, n + 1, t,
-                                 util::stream::kSampling);
-      const opt::WorkspacePool::Lease lease(ws_pool);
-      opt::SolverWorkspace& ws = *lease;
-      std::vector<std::size_t>& idx = ws.batch;
-      // lint:allow(no-alloc-in-hot-loop) no-op once the pooled workspace is warm
-      idx.resize(batch);
-      for (auto& i : idx) i = rng.below(ds.size());
-
-      // SVRG estimator: ∇f_B(x_n) − ∇f_B(anchor) + ∇F_n(anchor), with the
-      // same minibatch at both points (eq. 8b).
-      std::vector<double>& g = ws.grad_curr;
-      // lint:allow(no-alloc-in-hot-loop) no-op once the pooled workspace is warm
-      g.resize(dim);
-      std::vector<double>& g_anchor = ws.grad_ref;
-      // lint:allow(no-alloc-in-hot-loop) no-op once the pooled workspace is warm
-      g_anchor.resize(dim);
-      const std::span<double> xn = device_view(x_slab, n);
-      const std::span<const double> hn = device_view(h_slab, n);
-      const std::span<const double> agn = device_view(anchor_grad_slab, n);
-      model->loss_and_gradient(xn, ds, idx, g);
-      model->loss_and_gradient(anchor, ds, idx, g_anchor);
-      grad_evals[n] += 2 * batch;
-      // v = g − g_anchor + anchor_grad; x̂ = x − γ(v − h), written in place.
-      for (std::size_t i = 0; i < dim; ++i) {
-        const double v = g[i] - g_anchor[i] + agn[i];
-        xn[i] -= gamma * (v - hn[i]);
-      }
-
-      if (communicate && !events[n].uplink_failed) {
-        // Proposal y_n = x̂_n − (γ/p) h_n, uploaded as a delta against the
-        // shared anchor so sparsification/quantization compress the small
-        // innovation, not the full model.
-        const std::span<double> up = device_view(uploads_slab, n);
-        for (std::size_t i = 0; i < dim; ++i) {
-          up[i] = xn[i] - gamma_over_p * hn[i] - anchor[i];
-        }
-        util::Rng comm_rng =
-            util::fork(options.seed, n + 1, t, util::stream::kComm);
-        realized_uplink[n] = channel.uplink(n, up, comm_rng);
-      }
-    });
-
-    // ---- Serial accounting & (on heads) the consensus prox step. ----
-    for (std::size_t n = 0; n < num_devices; ++n) {
-      const fl::FaultEvent& e = events[n];
-      if (e.dropped) {
-        ++total_dropped;
-        continue;  // a crash is detected immediately: no time charged
-      }
-      if (e.straggler) ++total_stragglers;
-      if (communicate) {
-        total_uplink_retries += e.uplink_retries;
-        // Transmitted but lost after the retry budget: undelivered, not
-        // "dropped" — dropped counts crashes only (CSV schema v2).
-        if (e.uplink_failed) ++total_undelivered;
-      }
-    }
-    // The iteration costs model time until the event queue drains: the last
-    // non-crashed arrival's timestamp from the schedule built above.
-    const double realized_round_time = schedule.realized_round_time();
-    model_time += realized_round_time;
-
-    if (communicate) {
-      // Byte accounting: every non-crashed device transmits (lost attempts
-      // included, at the a-priori wire size); the broadcast reaches the
-      // whole fleet.
-      for (std::size_t n = 0; n < num_devices; ++n) {
-        if (events[n].dropped) continue;
-        const std::size_t per_attempt = realized_uplink[n] > 0
-                                            ? realized_uplink[n]
-                                            : channel.uplink_wire_bytes();
-        total_uplink_bytes += events[n].uplink_attempts() * per_attempt;
-      }
-
-      // Survivors straight off the event schedule (slot == device here):
-      // not crashed, proposal delivered — ascending device order.
-      const std::span<const std::size_t> survivors = schedule.survivors();
-      survivor_weights.clear();
-      for (const std::size_t n : survivors) {
-        survivor_weights.push_back(fed.weight(n));
-      }
-      // Reduced through the sanctioned helper — bit-identical to the
-      // historical inline accumulation.
-      const double weight_sum = tensor::sum(survivor_weights);
-      if (!survivors.empty()) {
-        total_downlink_bytes += num_devices * channel.downlink_wire_bytes();
-        // x_{t+1} = anchor + Σ survivors (w_n / Σw) (decoded delta_n),
-        // ascending device order (determinism contract).
-        tensor::copy(anchor, x_next);
-        for (const std::size_t n : survivors) {
-          tensor::axpy(fed.weight(n) / weight_sum,
-                       device_view(uploads_slab, n), x_next);
-        }
-        // Reliable downlink: every device adopts the consensus and updates
-        // its control variate against its own x̂ (a crashed device's x̂ is
-        // its unchanged x_n).
-        for_each_device([&](std::size_t n) {
-          const std::span<double> hn = device_view(h_slab, n);
-          const std::span<double> xn = device_view(x_slab, n);
-          for (std::size_t i = 0; i < dim; ++i) {
-            hn[i] += p_over_gamma * (x_next[i] - xn[i]);
-          }
-          tensor::copy(x_next, xn);
-        });
-        tensor::copy(x_next, anchor);
-        // Refresh the SVRG anchor gradients at the new consensus.
-        for_each_device(refresh_anchor_gradients);
-      }
-      // Zero survivors: the round degrades to a skip round — no broadcast,
-      // no h update; the uplink attempts above are still charged.
-    }
-
-    const bool last = t == options.iterations;
-    if (t % options.eval_every == 0 || last) {
-      record(t, realized_round_time);
-      if (options.target_accuracy.has_value() &&
-          trace.rounds.back().test_accuracy >= *options.target_accuracy) {
-        target_reached = true;
-      }
-    }
-  }
-
-  virtual_average();
-  trace.final_parameters = xbar;
-  trace.final_param_hash = check::hash_span(trace.final_parameters);
-  return trace;
+  fl::TrainerOptions engine;
+  engine.rounds = options.iterations;
+  engine.seed = options.seed;
+  engine.timing = options.timing;
+  engine.eval_every = options.eval_every;
+  engine.eval_initial = options.eval_initial;
+  engine.target_accuracy = options.target_accuracy;
+  engine.comm = options.comm;
+  engine.faults = options.faults;
+  engine.parallel = options.parallel;
+  const fl::Trainer trainer(model, fed, engine);
+  ProxSkipVRPolicy policy(model, fed, options);
+  // One local step per iteration: tau = 1 in eq. 19.
+  return trainer.run(policy, 1, name, std::move(w0));
 }
 
 }  // namespace fedvr::core

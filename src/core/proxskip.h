@@ -28,6 +28,11 @@
 // comm::Message sizes. Every skipped round is a round of zero
 // communication cost — the whole point of the method.
 //
+// The algorithm is a RoundPolicy of fl::Trainer's round engine (one
+// iteration = one round, tau = 1): selection, the fault and timing
+// schedule, the channel, byte/time/fault accounting, eval, early stop and
+// the trace are the engine's, shared with FedProxVR.
+//
 // Determinism: the skip coin for iteration t is drawn from
 // fork(seed, 0, t, stream::kComm) — device coordinate 0, which never
 // collides with per-device comm streams at coordinates >= 1 — and all
@@ -73,8 +78,8 @@ struct ProxSkipVROptions {
   /// byte-derived link timing) — same options as fl::TrainerOptions::comm.
   comm::ChannelOptions comm;
   /// Crash / straggler / lossy-uplink injection. Corruption faults are not
-  /// supported by this engine (no server-side defense layer here); enabling
-  /// them is a configuration error.
+  /// supported (ProxSkip-VR's server update has no defense layer);
+  /// enabling them is a configuration error.
   fl::FaultModel faults;
   bool parallel = true;
 
@@ -97,8 +102,9 @@ struct ProxSkipVROptions {
 /// renormalized); the downlink broadcast is reliable — every device,
 /// including crashed ones, adopts the new consensus and updates h_n, which
 /// keeps the shared delta-compression anchor consistent across the fleet.
-/// A communication round with zero survivors degrades to a skip round
-/// (uplink attempts are still charged).
+/// A skipped iteration charges only d_cmp·slowdown and counts no uplink
+/// retries, undelivered updates or bytes. A communication round with zero
+/// survivors degrades to a skip round (uplink attempts are still charged).
 [[nodiscard]] fl::TrainingTrace run_proxskip_vr(
     std::shared_ptr<const nn::Model> model, const data::FederatedDataset& fed,
     const ProxSkipVROptions& options, const std::string& name = "proxskip_vr",

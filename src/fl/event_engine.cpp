@@ -31,7 +31,7 @@ void RoundSchedule::build(std::optional<double> deadline) {
         oc.missed_deadline ? *deadline : oc.completion_time;
     realized_round_time_ = std::max(realized_round_time_, waited);
     arrivals_.push_back(ArrivalEvent{oc.completion_time, k});
-    if (!oc.undelivered && !oc.missed_deadline) survivors_.push_back(k);
+    if (oc.delivered()) survivors_.push_back(k);
   }
   // (time, slot) key: slots are ascending device order, so ties resolve by
   // device id and the queue order is pool-size-independent.

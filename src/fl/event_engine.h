@@ -42,6 +42,11 @@ struct ParticipantOutcome {
   bool undelivered = false;
   /// Set by build(): completed after the round deadline.
   bool missed_deadline = false;
+
+  /// The update reaches the server in time (valid after build()).
+  [[nodiscard]] bool delivered() const {
+    return !crashed && !undelivered && !missed_deadline;
+  }
 };
 
 /// One update hitting the server, in arrival order.

@@ -13,8 +13,8 @@
 //     `uplink_loss_prob`; the device retries up to `uplink_max_retries`
 //     times with geometric backoff, each retry charging extra d_com
 //     (FaultEvent::com_multiplier). A device that exhausts its retries is
-//     excluded from aggregation like a crash, but still holds up the
-//     synchronous barrier for its full (retried) round time;
+//     excluded from aggregation like a crash, but the round still waits
+//     for its full (retried) arrival;
 //   * corruption    — the delivered update is garbage: NaN/Inf-poisoned,
 //     sign-flipped, magnitude-scaled, or a stale replay of the device's
 //     previous upload. Fired per round with `corrupt_prob`, or every round

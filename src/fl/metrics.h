@@ -48,7 +48,7 @@ struct RoundMetrics {
   // serialized comm::Message sizes (header + index section + payload), not
   // analytic estimates: uplink counts every transmission that crossed the
   // wire (retries and lost attempts included), downlink counts one dense
-  // model broadcast per scheduled participant.
+  // model frame per device the server broadcast to.
   std::size_t comm_bytes = 0;        // uplink_bytes + downlink_bytes
   std::size_t uplink_bytes = 0;      // device -> server
   std::size_t downlink_bytes = 0;    // server -> device
@@ -81,10 +81,10 @@ struct RoundMetrics {
                                              // (one device quarantined for 5
                                              // rounds counts 5)
 
-  /// Realized synchronous-barrier time of THIS round (not cumulative): the
-  /// max over participants' fault-adjusted round times, capped at
-  /// round_deadline when one is set. Equals the analytic per-round
-  /// eq. 19 time when faults are off.
+  /// Realized model time of THIS round (not cumulative), as
+  /// RoundSchedule::realized_round_time computes it: the last non-crashed
+  /// arrival, capped at round_deadline when one is set. Equals the analytic
+  /// per-round eq. 19 time when faults are off.
   double realized_round_time = 0.0;
 
   /// FNV-1a hash of w̄^(s) (check::hash_span). Equal-seed runs must agree

@@ -174,6 +174,23 @@ TEST(ProxSkipVR, SerialAndParallelFlagAgree) {
   EXPECT_EQ(a.final_param_hash, b.final_param_hash);
 }
 
+TEST(ProxSkipVR, RowsCarryNondecreasingWallSeconds) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = make_fed();
+  ProxSkipVROptions opts;
+  opts.iterations = 20;
+  opts.eval_every = 2;
+  opts.eval_initial = true;
+  const auto trace = run_proxskip_vr(model, fed, opts, "wall");
+  ASSERT_EQ(trace.rounds.size(), 11u);
+  double prev = 0.0;
+  for (const auto& m : trace.rounds) {
+    EXPECT_GT(m.wall_seconds, 0.0) << "iteration " << m.round;
+    EXPECT_GE(m.wall_seconds, prev) << "iteration " << m.round;
+    prev = m.wall_seconds;
+  }
+}
+
 TEST(ProxSkipVR, TargetAccuracyCanStopAtRoundZero) {
   // Regression (shared with the trainer): a starting model that already
   // meets target_accuracy must end the run at the round-0 evaluation, not

@@ -1,4 +1,4 @@
-#include "fl/compression.h"
+#include "comm/compression.h"
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,8 @@ namespace {
 
 using fedvr::testing::quadratic_dataset;
 using fedvr::testing::QuadraticModel;
+using comm::RandKCompressor;
+using comm::TopKCompressor;
 using fedvr::util::Error;
 using fedvr::util::Rng;
 
@@ -194,7 +196,7 @@ TEST(TrainerCompression, ReducesUplinkBytes) {
   TrainerOptions plain;
   plain.rounds = 4;
   TrainerOptions compressed = plain;
-  compressed.uplink_compressor = std::make_shared<TopKCompressor>(0.5);
+  compressed.comm.compressor = std::make_shared<TopKCompressor>(0.5);
   const Trainer t1(model, fed, plain);
   const Trainer t2(model, fed, compressed);
   const auto a = t1.run(quad_solver(model), "plain");
@@ -210,7 +212,7 @@ TEST(TrainerCompression, StillConvergesOnQuadratic) {
   const auto fed = small_fed();
   TrainerOptions opts;
   opts.rounds = 25;
-  opts.uplink_compressor = std::make_shared<TopKCompressor>(0.5);
+  opts.comm.compressor = std::make_shared<TopKCompressor>(0.5);
   const Trainer trainer(model, fed, opts);
   const auto trace = trainer.run(quad_solver(model), "topk");
   EXPECT_LT(trace.back().train_loss, trace.rounds.front().train_loss);
@@ -222,7 +224,7 @@ TEST(TrainerCompression, FullFractionMatchesUncompressedRun) {
   TrainerOptions plain;
   plain.rounds = 5;
   TrainerOptions identity = plain;
-  identity.uplink_compressor = std::make_shared<TopKCompressor>(1.0);
+  identity.comm.compressor = std::make_shared<TopKCompressor>(1.0);
   const Trainer t1(model, fed, plain);
   const Trainer t2(model, fed, identity);
   const auto a = t1.run(quad_solver(model), "x");

@@ -1,7 +1,6 @@
 // The trainer x comm::Channel seam: error feedback rescues TopK from the
 // classic cancellation stall, compressed+faulty runs are bit-identical
-// across thread-pool sizes, byte-derived timing rewards compression, and
-// the deprecated uplink_compressor knob maps onto the channel.
+// across thread-pool sizes, and byte-derived timing rewards compression.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,14 +9,12 @@
 #include "comm/message.h"
 #include "fl/trainer.h"
 #include "testing/quadratic_model.h"
-#include "util/error.h"
 #include "util/thread_pool.h"
 
 namespace fedvr::fl {
 namespace {
 
 using fedvr::testing::QuadraticModel;
-using fedvr::util::Error;
 
 // A dataset of n identical points at `center` — device objectives are then
 // exact quadratics 0.5 ||w - center||^2 with no sampling noise.
@@ -161,35 +158,6 @@ TEST(TrainerComm, ByteTimingRewardsCompression) {
   // Compression shrinks the uplink, so byte-derived rounds are cheaper.
   EXPECT_LT(lossy_trace.back().model_time, dense_trace.back().model_time);
   EXPECT_LT(lossy_trace.back().uplink_bytes, dense_trace.back().uplink_bytes);
-}
-
-TEST(TrainerComm, DeprecatedUplinkCompressorAdoptedIntoChannel) {
-  const std::size_t dim = 5;
-  auto model = std::make_shared<QuadraticModel>(dim);
-  data::FederatedDataset fed;
-  fed.train.push_back(fedvr::testing::quadratic_dataset(6, dim, 0.0, 0.1, 1));
-  fed.test.push_back(fedvr::testing::quadratic_dataset(4, dim, 0.0, 0.1, 2));
-
-  auto compressor = std::make_shared<comm::TopKCompressor>(0.4);
-  TrainerOptions legacy;
-  legacy.rounds = 4;
-  legacy.uplink_compressor = compressor;
-  TrainerOptions channel;
-  channel.rounds = 4;
-  channel.comm.compressor = compressor;
-
-  const auto solver = gd(model, 2, 0.2, 0.1);
-  const auto a = Trainer(model, fed, legacy).run(solver, "x");
-  const auto b = Trainer(model, fed, channel).run(solver, "x");
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
-    EXPECT_EQ(a.rounds[i].param_hash, b.rounds[i].param_hash);
-    EXPECT_EQ(a.rounds[i].uplink_bytes, b.rounds[i].uplink_bytes);
-  }
-
-  TrainerOptions both = legacy;
-  both.comm.compressor = compressor;
-  EXPECT_THROW(Trainer(model, fed, both), Error);
 }
 
 }  // namespace

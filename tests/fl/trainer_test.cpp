@@ -375,6 +375,8 @@ TEST(Trainer, EvalInitialRecordsRoundZero) {
   const auto w0 = model->initial_parameters(init_rng);
   EXPECT_NEAR(trace.rounds.front().train_loss, trainer.global_loss(w0),
               1e-12);
+  // ... and the hash of w̄^(0), like every later row's hash of w̄^(s).
+  EXPECT_EQ(trace.rounds.front().param_hash, check::hash_span(w0));
 }
 
 TEST(Trainer, CommBytesAccountingMatchesFormula) {
