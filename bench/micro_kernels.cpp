@@ -2,6 +2,10 @@
 // experiment harness: GEMM, im2col, the vector ops in the solver's inner
 // loop, the prox step, and one full LocalSolver inner iteration on both
 // tasks. Not tied to a paper table; used to track substrate performance.
+//
+// Every benchmark whose timed code can fan out on the thread pool is
+// marked UseRealTime(): its rate must come from wall time, not from the
+// CPU time of a main thread that sleeps while the workers compute.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -34,7 +38,13 @@ void BM_GemmSquare(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * n * n * n));
 }
-BENCHMARK(BM_GemmSquare)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_GemmSquare)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(512)
+    ->UseRealTime();
 
 // The exact GEMM shapes the CNN's conv layers hit through im2col:
 // m = out_channels, n = out_pixels, k = col_rows. Range(0) selects the layer.
@@ -70,7 +80,7 @@ void BM_GemmConvShape(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * m * n * k));
 }
-BENCHMARK(BM_GemmConvShape)->Arg(1)->Arg(2);
+BENCHMARK(BM_GemmConvShape)->Arg(1)->Arg(2)->UseRealTime();
 
 // Same 256^3 GEMM with the global pool pinned to range(1) threads (0 =
 // hardware default), to expose the threaded-vs-serial kernel speedup.
@@ -93,8 +103,9 @@ void BM_GemmPoolSize(benchmark::State& state) {
   util::ThreadPool::reset_global(0);
 }
 BENCHMARK(BM_GemmPoolSize)
-    ->Args({256, 1})   // serial kernel
-    ->Args({256, 0});  // full hardware pool
+    ->Args({256, 1})  // serial kernel
+    ->Args({256, 0})  // full hardware pool
+    ->UseRealTime();
 
 void BM_Im2col28x28(benchmark::State& state) {
   tensor::ConvGeometry g{.channels = 1,
@@ -133,8 +144,11 @@ void BM_AxpyProxStep(benchmark::State& state) {
 }
 BENCHMARK(BM_AxpyProxStep)->Arg(1 << 10)->Arg(1 << 16);
 
+// range(0) is the input dim: 60 (the synthetic task) or 784 (convex_fig2's
+// 28x28 images).
 void BM_LogisticMinibatchGradient(benchmark::State& state) {
-  const std::size_t dim = 60, classes = 10, batch = 32;
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  const std::size_t classes = 10, batch = 32;
   const auto model = nn::make_logistic_regression(dim, classes);
   data::SyntheticConfig cfg;
   cfg.dim = dim;
@@ -149,7 +163,7 @@ void BM_LogisticMinibatchGradient(benchmark::State& state) {
     benchmark::DoNotOptimize(model->loss_and_gradient(w, ds, idx, grad));
   }
 }
-BENCHMARK(BM_LogisticMinibatchGradient);
+BENCHMARK(BM_LogisticMinibatchGradient)->Arg(60)->Arg(784)->UseRealTime();
 
 void BM_CnnMinibatchGradient(benchmark::State& state) {
   nn::CnnConfig cfg;
@@ -171,7 +185,7 @@ void BM_CnnMinibatchGradient(benchmark::State& state) {
     benchmark::DoNotOptimize(model->loss_and_gradient(w, ds, idx, grad));
   }
 }
-BENCHMARK(BM_CnnMinibatchGradient);
+BENCHMARK(BM_CnnMinibatchGradient)->UseRealTime();
 
 void BM_LocalSolverRound(benchmark::State& state) {
   const std::size_t dim = 60, classes = 10;
@@ -200,7 +214,8 @@ void BM_LocalSolverRound(benchmark::State& state) {
 BENCHMARK(BM_LocalSolverRound)
     ->Arg(0)  // SGD
     ->Arg(1)  // SVRG
-    ->Arg(2); // SARAH
+    ->Arg(2)  // SARAH
+    ->UseRealTime();
 
 }  // namespace
 

@@ -3,7 +3,9 @@
 // model, reported as device activations/s and local updates/s, plus the
 // arena heap traffic per round — the observable behind the zero-allocation
 // claim (allocs_per_round stays ~0 once the per-thread arenas and the
-// per-device solver workspaces are warm).
+// per-device solver workspaces are warm). Rounds run their devices on the
+// thread pool, so every benchmark here is timed (and its rates computed) in
+// wall time.
 //
 // Snapshot with tools/bench_json.py --binary build/bench/micro_rounds
 // --out BENCH_rounds.json.
@@ -88,7 +90,9 @@ void BM_RoundFedProxVR(benchmark::State& state) {
   topts.eval_every = kRounds;  // one metric pass per run, not per round
   run_trainer_bench(state, topts, kTau);
 }
-BENCHMARK(BM_RoundFedProxVR)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RoundFedProxVR)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Same engine with the fault stack on: crashes, stragglers, lossy uplinks
 // and corruption, exercising survivor reweighting and server-side
@@ -106,7 +110,9 @@ void BM_RoundFedProxVRFaults(benchmark::State& state) {
   topts.faults = fl::FaultModel(faults);
   run_trainer_bench(state, topts, kTau);
 }
-BENCHMARK(BM_RoundFedProxVRFaults)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RoundFedProxVRFaults)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Event-driven sampled rounds on a large virtual fleet: N = 10⁵ devices,
 // m = 64 sampled participants per round, shards materialized on demand
@@ -152,7 +158,9 @@ void BM_RoundSampledLargeFleet(benchmark::State& state) {
   state.counters["allocs_per_round"] =
       static_cast<double>(tensor::arena_heap_events() - heap_before) / rounds;
 }
-BENCHMARK(BM_RoundSampledLargeFleet)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RoundSampledLargeFleet)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // ProxSkip-VR (eq. 19): one local SVRG step per device per iteration, with
 // ~skip_prob of the iterations communicating. An "activation" here is one
@@ -184,7 +192,9 @@ void BM_RoundProxSkipVR(benchmark::State& state) {
   state.counters["allocs_per_round"] =
       static_cast<double>(tensor::arena_heap_events() - heap_before) / iters;
 }
-BENCHMARK(BM_RoundProxSkipVR)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RoundProxSkipVR)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -38,7 +38,8 @@ bool ChannelOptions::transforms_uplink() const {
 std::string ChannelOptions::label() const {
   std::string s = compressor ? compressor->name() : "dense";
   if (error_feedback) s += "+ef";
-  s += "/" + dtype_name(uplink_dtype);
+  s += '/';
+  s += dtype_name(uplink_dtype);
   return s;
 }
 

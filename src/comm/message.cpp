@@ -163,6 +163,7 @@ std::vector<std::uint8_t> build(std::size_t dim,
                                 bool sparse) {
   const std::size_t total =
       wire_bytes(dtype, dim, values.size(), sparse);
+  FEDVR_CHECK(total >= kHeaderBytes);  // so buf is never empty
   std::vector<std::uint8_t> buf(total, 0);
   buf[kOffMagic] = kMagic0;
   buf[kOffMagic + 1] = kMagic1;

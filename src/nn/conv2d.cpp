@@ -42,7 +42,7 @@ void Conv2dLayer::init_params(util::Rng& rng, std::span<double> w) const {
 
 void Conv2dLayer::forward(std::span<const double> w, std::size_t batch,
                           std::span<const double> x, std::span<double> y,
-                          LayerCache* cache) const {
+                          LayerCache* /*cache*/) const {
   FEDVR_CHECK(w.size() == param_count());
   FEDVR_CHECK(x.size() == batch * in_size() && y.size() == batch * out_size());
   const std::size_t col_rows = geometry_.col_rows();
@@ -69,23 +69,23 @@ void Conv2dLayer::forward(std::span<const double> w, std::size_t batch,
       for (std::size_t p = 0; p < pixels; ++p) plane[p] += b;
     }
   });
-  if (cache != nullptr) cache->input.assign(x.begin(), x.end());
 }
 
 void Conv2dLayer::backward(std::span<const double> w, std::size_t batch,
+                           std::span<const double> x,
+                           std::span<const double> /*y*/,
                            std::span<const double> dy, std::span<double> dx,
                            std::span<double> dw,
-                           const LayerCache& cache) const {
+                           const LayerCache& /*cache*/) const {
   FEDVR_CHECK(w.size() == param_count() && dw.size() == param_count());
-  FEDVR_CHECK(dy.size() == batch * out_size() &&
-              dx.size() == batch * in_size());
-  FEDVR_CHECK(cache.input.size() == batch * in_size());
+  FEDVR_CHECK(x.size() == batch * in_size() &&
+              dy.size() == batch * out_size());
+  FEDVR_CHECK(dx.empty() || dx.size() == batch * in_size());
   const std::size_t col_rows = geometry_.col_rows();
   const std::size_t pixels = geometry_.out_pixels();
   const auto weights = w.subspan(0, out_channels_ * col_rows);
   auto d_weights = dw.subspan(0, out_channels_ * col_rows);
   auto d_bias = dw.subspan(out_channels_ * col_rows, out_channels_);
-  const std::span<const double> input = cache.input;
 
   // dx is disjoint per sample, but dW/db sum over the batch. Each
   // kGradBlock-sample block accumulates into its own partial buffer in
@@ -102,21 +102,19 @@ void Conv2dLayer::backward(std::span<const double> w, std::size_t batch,
   auto partials = ws.alloc_zeroed<double>(nblocks * psize);
   // W^T materialized once so every d_cols GEMM reads unit-stride operands
   // instead of re-packing the transposed weights per sample.
-  auto wt = ws.alloc<double>(col_rows * out_channels_);
-  tensor::transpose(out_channels_, col_rows, weights, wt);
+  auto wt = ws.alloc<double>(dx.empty() ? 0 : col_rows * out_channels_);
+  if (!dx.empty()) tensor::transpose(out_channels_, col_rows, weights, wt);
 
   util::ThreadPool::global().parallel_for(0, nblocks, [&](std::size_t blk) {
     tensor::Workspace wws(tensor::scratch_arena());
     auto cols = wws.alloc<double>(col_rows * pixels);
-    auto d_cols = wws.alloc<double>(col_rows * pixels);
     auto pw = std::span<double>(partials).subspan(blk * psize, wsize);
     auto pb = std::span<double>(partials).subspan(blk * psize + wsize,
                                                   out_channels_);
     const std::size_t s_end = std::min(batch, (blk + 1) * kGradBlock);
     for (std::size_t s = blk * kGradBlock; s < s_end; ++s) {
-      const auto image = input.subspan(s * in_size(), in_size());
+      const auto image = x.subspan(s * in_size(), in_size());
       const auto d_out = dy.subspan(s * out_size(), out_size());
-      auto d_image = dx.subspan(s * in_size(), in_size());
 
       // pw (col_rows x oc) += cols (col_rows x pixels) * d_out^T (pixels x
       // oc)
@@ -126,12 +124,14 @@ void Conv2dLayer::backward(std::span<const double> w, std::size_t batch,
       // pb[oc] += sum over pixels of d_out(oc, .), per sample in ascending
       // order.
       tensor::add_row_sums(out_channels_, pixels, d_out, pb);
+      if (dx.empty()) continue;
       // d_cols (col_rows x pixels) = W^T (col_rows x oc) * d_out (oc x
-      // pixels)
+      // pixels); cols is spent, so d_cols reuses it.
+      auto d_image = dx.subspan(s * in_size(), in_size());
       tensor::gemm_packed(tensor::Trans::kNo, tensor::Trans::kNo, col_rows,
-                          pixels, out_channels_, 1.0, wt, d_out, 0.0, d_cols);
+                          pixels, out_channels_, 1.0, wt, d_out, 0.0, cols);
       tensor::fill(d_image, 0.0);
-      tensor::col2im(geometry_, d_cols, d_image);
+      tensor::col2im(geometry_, cols, d_image);
     }
   });
 

@@ -1,7 +1,6 @@
 #include "nn/dense.h"
 
-#include <vector>
-
+#include "tensor/arena.h"
 #include "tensor/kernels.h"
 #include "tensor/random_init.h"
 #include "tensor/vecops.h"
@@ -21,7 +20,7 @@ void DenseLayer::init_params(util::Rng& rng, std::span<double> w) const {
 
 void DenseLayer::forward(std::span<const double> w, std::size_t batch,
                          std::span<const double> x, std::span<double> y,
-                         LayerCache* cache) const {
+                         LayerCache* /*cache*/) const {
   FEDVR_CHECK(w.size() == param_count());
   FEDVR_CHECK(x.size() == batch * in_ && y.size() == batch * out_);
   const auto weights = w.subspan(0, out_ * in_);
@@ -30,29 +29,31 @@ void DenseLayer::forward(std::span<const double> w, std::size_t batch,
   tensor::gemm_packed(tensor::Trans::kNo, tensor::Trans::kYes, batch, out_,
                       in_, 1.0, x, weights, 0.0, y);
   tensor::add_bias_rows(batch, out_, y, bias);
-  if (cache != nullptr) {
-    cache->input.assign(x.begin(), x.end());
-  }
 }
 
 void DenseLayer::backward(std::span<const double> w, std::size_t batch,
+                          std::span<const double> x,
+                          std::span<const double> /*y*/,
                           std::span<const double> dy, std::span<double> dx,
                           std::span<double> dw,
-                          const LayerCache& cache) const {
+                          const LayerCache& /*cache*/) const {
   FEDVR_CHECK(w.size() == param_count() && dw.size() == param_count());
-  FEDVR_CHECK(dy.size() == batch * out_ && dx.size() == batch * in_);
-  FEDVR_CHECK(cache.input.size() == batch * in_);
+  FEDVR_CHECK(x.size() == batch * in_ && dy.size() == batch * out_);
+  FEDVR_CHECK(dx.empty() || dx.size() == batch * in_);
   const auto weights = w.subspan(0, out_ * in_);
   auto d_weights = dw.subspan(0, out_ * in_);
   auto d_bias = dw.subspan(out_ * in_, out_);
-  // dx (B x in) = dy (B x out) * W (out x in)
-  tensor::gemm_packed(tensor::Trans::kNo, tensor::Trans::kNo, batch, in_,
-                      out_, 1.0, dy, weights, 0.0, dx);
+  if (!dx.empty()) {
+    // dx (B x in) = dy (B x out) * W (out x in)
+    tensor::gemm_packed(tensor::Trans::kNo, tensor::Trans::kNo, batch, in_,
+                        out_, 1.0, dy, weights, 0.0, dx);
+  }
   // dW (out x in) += dy^T (out x B) * x (B x in)
   tensor::gemm_packed(tensor::Trans::kYes, tensor::Trans::kNo, out_, in_,
-                      batch, 1.0, dy, cache.input, 1.0, d_weights);
+                      batch, 1.0, dy, x, 1.0, d_weights);
   // db += column sums of dy
-  std::vector<double> bias_grad(out_);
+  tensor::Workspace ws(tensor::scratch_arena());
+  auto bias_grad = ws.alloc<double>(out_);
   tensor::sum_rows(batch, out_, dy, bias_grad);
   tensor::axpy(1.0, bias_grad, d_bias);
 }

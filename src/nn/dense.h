@@ -24,6 +24,7 @@ class DenseLayer final : public Layer {
                LayerCache* cache) const override;
 
   void backward(std::span<const double> w, std::size_t batch,
+                std::span<const double> x, std::span<const double> y,
                 std::span<const double> dy, std::span<double> dx,
                 std::span<double> dw, const LayerCache& cache) const override;
 

@@ -9,6 +9,10 @@
 //
 // Data layout: a batch is (batch x in_size) row-major; images inside a
 // sample are CHW.
+//
+// Layers hold no activations either: backward() is handed the forward input
+// x and output y (nn::Sequential keeps both in its Workspace). An empty dx
+// means "skip the input gradient"; Sequential passes one to its first layer.
 #pragma once
 
 #include <cstddef>
@@ -20,12 +24,10 @@
 
 namespace fedvr::nn {
 
-/// Scratch saved by forward() for use in backward(). One cache per layer per
-/// (thread, batch); reused across iterations to avoid churn.
+/// What forward() saves for backward() besides x and y. One cache per layer
+/// per (thread, batch); reused across iterations to avoid churn.
 struct LayerCache {
-  std::vector<double> input;          // copy of the forward input batch
-  std::vector<std::size_t> indices;   // e.g. argmax positions for max-pool
-  std::vector<double> scratch;        // layer-specific extra storage
+  std::vector<std::size_t> indices;  // argmax positions for max-pool
 };
 
 class Layer {
@@ -48,10 +50,11 @@ class Layer {
                        std::span<const double> x, std::span<double> y,
                        LayerCache* cache) const = 0;
 
-  /// Given upstream gradient dy, writes dx (gradient w.r.t. the input) and
-  /// *accumulates* into dw (gradient w.r.t. this layer's parameters).
-  /// `cache` must come from a matching forward() call.
+  /// Given x, y and `cache` of a training forward() of this batch and the
+  /// upstream gradient dy, *accumulates* into dw (gradient w.r.t. this
+  /// layer's parameters) and, unless dx is empty, writes dx (w.r.t. x).
   virtual void backward(std::span<const double> w, std::size_t batch,
+                        std::span<const double> x, std::span<const double> y,
                         std::span<const double> dy, std::span<double> dx,
                         std::span<double> dw,
                         const LayerCache& cache) const = 0;

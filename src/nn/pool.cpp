@@ -64,13 +64,16 @@ void MaxPool2dLayer::forward(std::span<const double> w, std::size_t batch,
 }
 
 void MaxPool2dLayer::backward(std::span<const double> w, std::size_t batch,
+                              std::span<const double> /*x*/,
+                              std::span<const double> /*y*/,
                               std::span<const double> dy,
                               std::span<double> dx, std::span<double> dw,
                               const LayerCache& cache) const {
   FEDVR_CHECK(w.empty() && dw.empty());
-  FEDVR_CHECK(dy.size() == batch * out_size() &&
-              dx.size() == batch * in_size());
+  FEDVR_CHECK(dy.size() == batch * out_size());
+  FEDVR_CHECK(dx.empty() || dx.size() == batch * in_size());
   FEDVR_CHECK(cache.indices.size() == batch * out_size());
+  if (dx.empty()) return;
   tensor::fill(dx, 0.0);
   for (std::size_t s = 0; s < batch; ++s) {
     const double* d_out = dy.data() + s * out_size();

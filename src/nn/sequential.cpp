@@ -52,6 +52,7 @@ std::span<const double> Sequential::forward(std::span<const double> w,
   FEDVR_CHECK_SHAPE(x.size(), batch * in_size());
   ws.activations.resize(layers_.size());
   if (training) ws.caches.resize(layers_.size());
+  ws.trained_input = training ? x : std::span<const double>();
   std::span<const double> current = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     auto& out = ws.activations[i];
@@ -71,16 +72,20 @@ void Sequential::backward(std::span<const double> w, std::size_t batch,
   FEDVR_CHECK_SHAPE(w.size(), total_params_);
   FEDVR_CHECK_SHAPE(dw.size(), total_params_);
   FEDVR_CHECK_SHAPE(d_out.size(), batch * out_size());
-  FEDVR_CHECK_MSG(ws.caches.size() == layers_.size(),
-                  "backward() without a training forward()");
+  FEDVR_CHECK_MSG(x.data() == ws.trained_input.data() &&
+                      x.size() == ws.trained_input.size() &&
+                      x.size() == batch * in_size(),
+                  "backward() must follow a training forward() of this batch");
   ws.grads.resize(layers_.size());
   FEDVR_CHECK_FINITE(d_out, "sequential upstream gradient");
   std::span<const double> upstream = d_out;
   for (std::size_t i = layers_.size(); i-- > 0;) {
+    // Nothing reads layer 0's input gradient: an empty d_in skips it.
     auto& d_in = ws.grads[i];
-    d_in.resize(batch * layers_[i]->in_size());
+    d_in.resize(i > 0 ? batch * layers_[i]->in_size() : 0);
     layers_[i]->backward(w.subspan(offsets_[i], layers_[i]->param_count()),
-                         batch, upstream, d_in,
+                         batch, i > 0 ? ws.activations[i - 1] : x,
+                         ws.activations[i], upstream, d_in,
                          dw.subspan(offsets_[i], layers_[i]->param_count()),
                          ws.caches[i]);
     // A NaN born inside one layer's backward poisons every gradient below
@@ -88,7 +93,6 @@ void Sequential::backward(std::span<const double> w, std::size_t batch,
     FEDVR_CHECK_FINITE(d_in, layers_[i]->name().c_str());
     upstream = d_in;
   }
-  (void)x;  // input gradient (ws.grads[0]) is available but unused here
 }
 
 }  // namespace fedvr::nn

@@ -1,4 +1,5 @@
-// Linear chain of layers sharing one flat parameter vector.
+// Linear chain of layers sharing one flat parameter vector; its Workspace is
+// the only holder of activations.
 #pragma once
 
 #include <memory>
@@ -29,7 +30,8 @@ class Sequential {
   struct Workspace {
     std::vector<std::vector<double>> activations;  // layer outputs
     std::vector<LayerCache> caches;
-    std::vector<std::vector<double>> grads;  // gradient buffers (backward)
+    std::vector<std::vector<double>> grads;  // layer input gradients, 1..n-1
+    std::span<const double> trained_input;   // x of a training forward()
   };
 
   /// Runs the batch through all layers; returns the final activation span
@@ -42,8 +44,10 @@ class Sequential {
                                                 bool training) const;
 
   /// Backpropagates d_out (gradient w.r.t. the final activation) and
-  /// accumulates parameter gradients into dw. Must follow a forward() with
-  /// training == true on the same workspace and batch.
+  /// accumulates parameter gradients into dw. Each layer is handed its
+  /// forward input and output from `ws` (`x` for layer 0, which gets an
+  /// empty dx), so the last forward() on `ws` must be a training one on this
+  /// `x`; otherwise throws util::Error, in every build.
   void backward(std::span<const double> w, std::size_t batch,
                 std::span<const double> x, std::span<const double> d_out,
                 std::span<double> dw, Workspace& ws) const;

@@ -508,20 +508,6 @@ void gemv(Trans trans, std::size_t rows, std::size_t cols, double alpha,
   }
 }
 
-void relu(std::span<const double> x, std::span<double> out) {
-  FEDVR_CHECK_SHAPE(x.size(), out.size());
-  const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] > 0.0 ? x[i] : 0.0;
-}
-
-void relu_backward(std::span<const double> x, std::span<const double> dy,
-                   std::span<double> dx) {
-  FEDVR_CHECK_SHAPE(x.size(), dy.size());
-  FEDVR_CHECK_SHAPE(x.size(), dx.size());
-  const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) dx[i] = x[i] > 0.0 ? dy[i] : 0.0;
-}
-
 void softmax_rows(std::size_t rows, std::size_t cols,
                   std::span<const double> logits, std::span<double> probs) {
   FEDVR_CHECK_SHAPE(logits.size(), rows * cols);

@@ -57,13 +57,6 @@ void gemv(Trans trans, std::size_t rows, std::size_t cols, double alpha,
           std::span<const double> a, std::span<const double> x, double beta,
           std::span<double> y);
 
-/// out[i] = max(x[i], 0)
-void relu(std::span<const double> x, std::span<double> out);
-
-/// dx[i] = x[i] > 0 ? dy[i] : 0   (backward of relu given forward input x)
-void relu_backward(std::span<const double> x, std::span<const double> dy,
-                   std::span<double> dx);
-
 /// Row-wise softmax of a (rows x cols) matrix, numerically stabilized.
 void softmax_rows(std::size_t rows, std::size_t cols,
                   std::span<const double> logits, std::span<double> probs);

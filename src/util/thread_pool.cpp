@@ -88,33 +88,20 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t grain) {
-  parallel_ranges(
-      begin, end,
-      [&fn](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      },
-      grain);
-}
-
-void ThreadPool::parallel_ranges(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& fn,
-    std::size_t grain) {
+std::size_t ThreadPool::chunk_count(std::size_t begin, std::size_t end,
+                                    std::size_t grain) const {
   FEDVR_CHECK(begin <= end);
   const std::size_t n = end - begin;
-  if (n == 0) return;
+  if (n == 0) return 0;
   grain = std::max<std::size_t>(grain, 1);
   const std::size_t max_chunks = std::max<std::size_t>(size(), 1);
-  const std::size_t chunks =
-      tls_in_worker ? 1 : std::min(max_chunks, (n + grain - 1) / grain);
-  if (chunks <= 1) {
-    fn(begin, end);
-    return;
-  }
-  const std::size_t chunk_len = (n + chunks - 1) / chunks;
+  return tls_in_worker ? 1 : std::min(max_chunks, (n + grain - 1) / grain);
+}
+
+void ThreadPool::run_chunks(
+    std::size_t begin, std::size_t end, std::size_t chunks,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
+  const std::size_t chunk_len = (end - begin + chunks - 1) / chunks;
   std::vector<std::future<void>> futures;
   futures.reserve(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {

@@ -56,9 +56,16 @@ class ThreadPool {
   /// single worker, or the caller is itself a pool worker (nested
   /// parallelism would deadlock a fixed-size pool: every worker could end
   /// up blocked waiting for queued chunks no thread is free to run).
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn,
-                    std::size_t grain = 1);
+  template <typename F>
+  void parallel_for(std::size_t begin, std::size_t end, F&& fn,
+                    std::size_t grain = 1) {
+    parallel_ranges(
+        begin, end,
+        [&fn](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) fn(i);
+        },
+        grain);
+  }
 
   /// Range-granular variant: fn(lo, hi) is invoked once per contiguous
   /// chunk instead of once per index, letting the body keep unit-stride
@@ -66,10 +73,21 @@ class ThreadPool {
   /// this when per-element results are chunk-invariant (disjoint writes or
   /// per-element accumulation order fixed by the body) — the determinism
   /// contract requires bit-identical results across pool sizes.
-  void parallel_ranges(
-      std::size_t begin, std::size_t end,
-      const std::function<void(std::size_t, std::size_t)>& fn,
-      std::size_t grain = 1);
+  ///
+  /// A range that runs on the caller calls fn directly, so the inline path
+  /// never touches the heap; fn is type-erased (by reference) only to fan
+  /// out.
+  template <typename F>
+  void parallel_ranges(std::size_t begin, std::size_t end, F&& fn,
+                       std::size_t grain = 1) {
+    const std::size_t chunks = chunk_count(begin, end, grain);
+    if (chunks == 0) return;
+    if (chunks == 1) {
+      fn(begin, end);
+      return;
+    }
+    run_chunks(begin, end, chunks, std::ref(fn));
+  }
 
   /// True when the calling thread is a worker of any ThreadPool in this
   /// process. The kernels use this to fall back to serial execution when
@@ -89,6 +107,13 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  // Chunks parallel_ranges splits [begin, end) into: 0 for an empty range,
+  // 1 when it runs on the caller. Checks begin <= end.
+  [[nodiscard]] std::size_t chunk_count(std::size_t begin, std::size_t end,
+                                        std::size_t grain) const;
+  // Submits `chunks` contiguous chunks of [begin, end) and blocks on them.
+  void run_chunks(std::size_t begin, std::size_t end, std::size_t chunks,
+                  const std::function<void(std::size_t, std::size_t)>& fn);
   // Out-of-line fedvr::obs hooks (pool.* counters/gauges) so this header
   // stays free of obs includes; no-ops while observability is disabled.
   static void note_enqueued();

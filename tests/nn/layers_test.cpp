@@ -2,6 +2,8 @@
 // finite-difference checks of both parameter and input gradients.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -44,7 +46,16 @@ void check_layer_gradients(const Layer& layer, std::size_t batch,
   std::vector<double> dy(y.size(), 1.0);
   std::vector<double> dx(x.size(), 0.0);
   std::vector<double> dw(w.size(), 0.0);
-  layer.backward(w, batch, dy, dx, dw, cache);
+  layer.backward(w, batch, x, y, dy, dx, dw, cache);
+
+  // An empty dx skips the input gradient and leaves dw bit-identical.
+  std::vector<double> dw_lean(w.size(), 0.0);
+  layer.backward(w, batch, x, y, dy, {}, dw_lean, cache);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dw_lean[i]),
+              std::bit_cast<std::uint64_t>(dw[i]))
+        << layer.name() << " dw[" << i << "] with an empty dx";
+  }
 
   const double step = 1e-6;
   // Parameter gradient check.
@@ -120,13 +131,40 @@ TEST(DenseLayer, BackwardAccumulatesIntoDw) {
   const std::vector<double> dy = {1};
   std::vector<double> dx(2);
   std::vector<double> dw = {100, 100, 100};  // pre-existing content
-  layer.backward(w, 1, dy, dx, dw, cache);
+  layer.backward(w, 1, x, y, dy, dx, dw, cache);
   EXPECT_DOUBLE_EQ(dw[0], 101);  // += x[0]*dy
   EXPECT_DOUBLE_EQ(dw[1], 102);
   EXPECT_DOUBLE_EQ(dw[2], 101);  // += dy
 }
 
 // ---------- ReLU ----------
+
+TEST(ReluLayer, ClampsNegatives) {
+  const ReluLayer layer(4);
+  const std::vector<double> x = {-2, -0.0, 0.5, 3};
+  std::vector<double> y(4);
+  layer.forward({}, 1, x, y, nullptr);
+  EXPECT_DOUBLE_EQ(y[0], 0);
+  EXPECT_DOUBLE_EQ(y[1], 0);
+  EXPECT_DOUBLE_EQ(y[2], 0.5);
+  EXPECT_DOUBLE_EQ(y[3], 3);
+}
+
+TEST(ReluLayer, BackwardMasksByForwardSign) {
+  const ReluLayer layer(4);
+  const std::vector<double> x = {-1, 2, 0, 3};
+  std::vector<double> y(4);
+  LayerCache cache;
+  layer.forward({}, 1, x, y, &cache);
+  const std::vector<double> dy = {10, 10, 10, 10};
+  std::vector<double> dx(4);
+  std::vector<double> dw;
+  layer.backward({}, 1, x, y, dy, dx, dw, cache);
+  EXPECT_DOUBLE_EQ(dx[0], 0);
+  EXPECT_DOUBLE_EQ(dx[1], 10);
+  EXPECT_DOUBLE_EQ(dx[2], 0);  // subgradient at 0 chosen as 0
+  EXPECT_DOUBLE_EQ(dx[3], 10);
+}
 
 TEST(ReluLayer, HasNoParameters) {
   const ReluLayer layer(7);
@@ -148,10 +186,17 @@ TEST(ReluLayer, GradientsMatchFiniteDifferences) {
   layer.forward({}, 2, x, y, &cache);
   std::vector<double> dy(12, 1.0), dx(12);
   std::vector<double> dw;
-  layer.backward({}, 2, dy, dx, dw, cache);
+  layer.backward({}, 2, x, y, dy, dx, dw, cache);
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_DOUBLE_EQ(dx[i], x[i] > 0 ? 1.0 : 0.0);
   }
+}
+
+TEST(ActivationLayers, GradientsMatchFiniteDifferences) {
+  Rng rng(4);
+  check_layer_gradients(ReluLayer(9), 3, rng);
+  check_layer_gradients(TanhLayer(9), 3, rng);
+  check_layer_gradients(SigmoidLayer(9), 3, rng);
 }
 
 // ---------- Conv2d ----------
@@ -230,6 +275,11 @@ TEST(Conv2dLayer, GradientsWithStrideMatchFiniteDifferences) {
 
 // ---------- MaxPool ----------
 
+TEST(MaxPool2dLayer, GradientsMatchFiniteDifferences) {
+  Rng rng(7);
+  check_layer_gradients(MaxPool2dLayer(2, 4, 6, 2), 3, rng);
+}
+
 TEST(MaxPool2dLayer, ShapesHalve) {
   const MaxPool2dLayer layer(3, 8, 8, 2);
   EXPECT_EQ(layer.in_size(), 3u * 64u);
@@ -256,7 +306,7 @@ TEST(MaxPool2dLayer, BackwardRoutesToArgmax) {
   const std::vector<double> dy = {5.0};
   std::vector<double> dx(4);
   std::vector<double> dw;
-  layer.backward({}, 1, dy, dx, dw, cache);
+  layer.backward({}, 1, x, y, dy, dx, dw, cache);
   EXPECT_DOUBLE_EQ(dx[0], 0);
   EXPECT_DOUBLE_EQ(dx[1], 5);
   EXPECT_DOUBLE_EQ(dx[2], 0);

@@ -31,7 +31,7 @@ void check_elementwise_gradient(double tol = 1e-7) {
   for (auto& v : dy) v = rng.normal();
   std::vector<double> dx(10);
   std::vector<double> dw;
-  layer.backward({}, 2, dy, dx, dw, cache);
+  layer.backward({}, 2, x, y, dy, dx, dw, cache);
   const double step = 1e-6;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double orig = x[i];

@@ -1,7 +1,10 @@
-// Workspace-reuse and composite-network regression tests.
+// Workspace-reuse, lean-backward and composite-network regression tests.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/activation.h"
@@ -11,11 +14,13 @@
 #include "nn/pool.h"
 #include "nn/sequential.h"
 #include "opt/estimator.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace fedvr::nn {
 namespace {
 
+using fedvr::util::Error;
 using fedvr::util::Rng;
 
 std::shared_ptr<const Sequential> small_net() {
@@ -70,6 +75,137 @@ TEST(SequentialWorkspace, InferenceThenTrainingOnSameWorkspace) {
   std::vector<double> d_out(3 * 2, 0.5);
   std::vector<double> dw(w.size(), 0.0);
   EXPECT_NO_THROW(net->backward(w, 3, x, d_out, dw, ws));
+}
+
+TEST(SequentialWorkspace, BackwardAfterInferenceForwardThrows) {
+  // The inference forward overwrote the activations backward() would read.
+  const auto net = small_net();
+  Rng rng(6);
+  std::vector<double> w(net->param_count());
+  net->init_params(rng, w);
+  std::vector<double> x(3 * 4);
+  for (auto& v : x) v = rng.normal();
+  Sequential::Workspace ws;
+  (void)net->forward(w, 3, x, ws, /*training=*/true);
+  (void)net->forward(w, 3, x, ws, /*training=*/false);
+  std::vector<double> d_out(3 * 2, 0.5);
+  std::vector<double> dw(w.size(), 0.0);
+  EXPECT_THROW(net->backward(w, 3, x, d_out, dw, ws), Error);
+}
+
+TEST(SequentialWorkspace, BackwardOfAnotherBatchThrows) {
+  const auto net = small_net();
+  Rng rng(8);
+  std::vector<double> w(net->param_count());
+  net->init_params(rng, w);
+  std::vector<double> x(3 * 4, 0.25);
+  const std::vector<double> other = x;
+  Sequential::Workspace ws;
+  (void)net->forward(w, 3, x, ws, /*training=*/true);
+  std::vector<double> dw(w.size(), 0.0);
+  std::vector<double> d_out(3 * 2, 0.5);
+  EXPECT_THROW(net->backward(w, 3, other, d_out, dw, ws), Error);
+  std::vector<double> d_out2(2 * 2, 0.5);
+  EXPECT_THROW(net->backward(w, 2, std::span<const double>(x).first(8),
+                             d_out2, dw, ws),
+               Error);
+  EXPECT_NO_THROW(net->backward(w, 3, x, d_out, dw, ws));
+}
+
+// dw from chaining Layer::forward/backward by hand with every dx computed,
+// layer 0's included: the path Sequential::backward prunes.
+std::vector<double> reference_dw(const Sequential& net,
+                                 std::span<const double> w, std::size_t batch,
+                                 std::span<const double> x,
+                                 std::span<const double> d_out) {
+  const std::size_t n = net.num_layers();
+  std::vector<std::vector<double>> acts(n);
+  std::vector<LayerCache> caches(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [offset, count] = net.param_slice(i);
+    acts[i].resize(batch * net.layer(i).out_size());
+    net.layer(i).forward(w.subspan(offset, count), batch,
+                         i > 0 ? std::span<const double>(acts[i - 1]) : x,
+                         acts[i], &caches[i]);
+  }
+  std::vector<double> dw(w.size(), 0.0);
+  std::vector<double> upstream(d_out.begin(), d_out.end());
+  for (std::size_t i = n; i-- > 0;) {
+    const auto [offset, count] = net.param_slice(i);
+    std::vector<double> dx(batch * net.layer(i).in_size());
+    net.layer(i).backward(w.subspan(offset, count), batch,
+                          i > 0 ? std::span<const double>(acts[i - 1]) : x,
+                          acts[i], upstream, dx,
+                          std::span<double>(dw).subspan(offset, count),
+                          caches[i]);
+    upstream = std::move(dx);
+  }
+  return dw;
+}
+
+void expect_lean_backward_bitwise(const Sequential& net, std::size_t batch,
+                                  std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> w(net.param_count());
+  net.init_params(rng, w);
+  std::vector<double> x(batch * net.in_size());
+  for (auto& v : x) v = rng.normal();
+  std::vector<double> d_out(batch * net.out_size());
+  for (auto& v : d_out) v = rng.normal();
+
+  Sequential::Workspace ws;
+  (void)net.forward(w, batch, x, ws, /*training=*/true);
+  std::vector<double> dw(w.size(), 0.0);
+  net.backward(w, batch, x, d_out, dw, ws);
+  const auto expected = reference_dw(net, w, batch, x, d_out);
+  ASSERT_EQ(dw.size(), expected.size());
+  for (std::size_t i = 0; i < dw.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dw[i]),
+              std::bit_cast<std::uint64_t>(expected[i]))
+        << "dw[" << i << "] " << dw[i] << " vs " << expected[i];
+  }
+}
+
+std::shared_ptr<const Sequential> dense_sandwich(
+    std::unique_ptr<Layer> activation) {
+  std::vector<std::unique_ptr<Layer>> layers;
+  layers.push_back(std::make_unique<DenseLayer>(5, 7));
+  layers.push_back(std::move(activation));
+  layers.push_back(std::make_unique<DenseLayer>(7, 3));
+  return std::make_shared<const Sequential>(std::move(layers));
+}
+
+TEST(LeanBackward, DenseAloneMatchesFullChainBitwise) {
+  std::vector<std::unique_ptr<Layer>> layers;
+  layers.push_back(std::make_unique<DenseLayer>(9, 4));
+  expect_lean_backward_bitwise(Sequential(std::move(layers)), 6, 11);
+}
+
+TEST(LeanBackward, DenseReluDenseMatchesFullChainBitwise) {
+  expect_lean_backward_bitwise(
+      *dense_sandwich(std::make_unique<ReluLayer>(7)), 6, 12);
+}
+
+TEST(LeanBackward, DenseTanhDenseMatchesFullChainBitwise) {
+  expect_lean_backward_bitwise(
+      *dense_sandwich(std::make_unique<TanhLayer>(7)), 6, 13);
+}
+
+TEST(LeanBackward, DenseSigmoidDenseMatchesFullChainBitwise) {
+  expect_lean_backward_bitwise(
+      *dense_sandwich(std::make_unique<SigmoidLayer>(7)), 6, 14);
+}
+
+TEST(LeanBackward, SmallCnnMatchesFullChainBitwise) {
+  // conv -> relu -> pool -> conv -> relu -> pool -> dense; a batch of 5
+  // leaves conv backward a partial gradient block.
+  CnnConfig cfg;
+  cfg.side = 8;
+  cfg.conv1_channels = 3;
+  cfg.conv2_channels = 5;
+  cfg.kernel = 3;
+  cfg.num_classes = 4;
+  expect_lean_backward_bitwise(make_two_layer_cnn(cfg)->net(), 5, 15);
 }
 
 TEST(CnnComposite, ForwardShapesChainThroughAllLayerTypes) {

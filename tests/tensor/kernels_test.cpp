@@ -166,27 +166,6 @@ TEST(Gemv, WrongVectorLengthThrows) {
   EXPECT_THROW(gemv(Trans::kNo, 2, 2, 1.0, a, x, 0.0, y), Error);
 }
 
-TEST(Relu, ClampsNegatives) {
-  const std::vector<double> x = {-2, -0.0, 0.5, 3};
-  std::vector<double> out(4);
-  relu(x, out);
-  EXPECT_DOUBLE_EQ(out[0], 0);
-  EXPECT_DOUBLE_EQ(out[1], 0);
-  EXPECT_DOUBLE_EQ(out[2], 0.5);
-  EXPECT_DOUBLE_EQ(out[3], 3);
-}
-
-TEST(Relu, BackwardMasksByForwardInput) {
-  const std::vector<double> x = {-1, 2, 0, 3};
-  const std::vector<double> dy = {10, 10, 10, 10};
-  std::vector<double> dx(4);
-  relu_backward(x, dy, dx);
-  EXPECT_DOUBLE_EQ(dx[0], 0);
-  EXPECT_DOUBLE_EQ(dx[1], 10);
-  EXPECT_DOUBLE_EQ(dx[2], 0);  // subgradient at 0 chosen as 0
-  EXPECT_DOUBLE_EQ(dx[3], 10);
-}
-
 TEST(Softmax, RowsSumToOne) {
   Rng rng(7);
   const std::size_t rows = 5, cols = 9;

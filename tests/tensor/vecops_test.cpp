@@ -112,7 +112,7 @@ TEST(Vecops, WeightedSumMatchesAscendingLoopBitExact) {
 TEST(Vecops, WeightedSumSizeMismatchThrows) {
   const std::vector<double> w = {1, 2};
   const std::vector<double> v = {1};
-  EXPECT_THROW(weighted_sum(w, v), Error);
+  EXPECT_THROW((void)weighted_sum(w, v), Error);
 }
 
 TEST(Vecops, AccumulateWeightedIsWeightedSum) {
