@@ -11,6 +11,7 @@
 
 #include "comm/channel.h"
 #include "comm/message.h"
+#include "common/micro_main.h"
 #include "util/rng.h"
 
 namespace {
@@ -102,4 +103,6 @@ BENCHMARK(BM_ChannelUplink);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return fedvr::bench::run_micro_benchmarks(argc, argv);
+}

@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/micro_main.h"
 #include "data/synthetic.h"
 #include "nn/models.h"
 #include "opt/local_solver.h"
@@ -81,6 +82,42 @@ void BM_GemmConvShape(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * m * n * k));
 }
 BENCHMARK(BM_GemmConvShape)->Arg(1)->Arg(2)->UseRealTime();
+
+// The GEMMs of a 784 -> 10 Dense layer (convex_fig2's logistic regression)
+// at batch 32 and at the 64-sample eval chunk. Range(0) selects the call:
+// 0 = forward y = x W^T (32 x 10 x 784, the dot path), 1 = the same over an
+// eval chunk (64 x 10 x 784), 2 = dW += dy^T x (10 x 784 x 32, the A^T*B
+// path).
+void BM_GemmDenseShape(benchmark::State& state) {
+  constexpr std::size_t in = 784, out = 10;
+  const bool dw = state.range(0) == 2;
+  const std::size_t batch = state.range(0) == 1 ? 64 : 32;
+  const std::size_t m = dw ? out : batch;
+  const std::size_t n = dw ? in : out;
+  const std::size_t k = dw ? batch : in;
+  util::Rng rng(6);
+  std::vector<double> a(m * k), b(k * n), c(m * n);
+  for (auto& v : a) v = rng.normal();
+  for (auto& v : b) v = rng.normal();
+  for (auto _ : state) {
+    if (dw) {
+      tensor::gemm_packed(tensor::Trans::kYes, tensor::Trans::kNo, m, n, k,
+                          1.0, a, b, 1.0, c);
+    } else {
+      tensor::gemm_packed(tensor::Trans::kNo, tensor::Trans::kYes, m, n, k,
+                          1.0, a, b, 0.0, c);
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * m * n * k));
+}
+BENCHMARK(BM_GemmDenseShape)
+    ->Arg(0)   // forward, batch 32
+    ->Arg(1)   // forward, eval chunk of 64
+    ->Arg(2)   // dW, batch 32
+    ->UseRealTime();
 
 // Same 256^3 GEMM with the global pool pinned to range(1) threads (0 =
 // hardware default), to expose the threaded-vs-serial kernel speedup.
@@ -219,4 +256,6 @@ BENCHMARK(BM_LocalSolverRound)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return fedvr::bench::run_micro_benchmarks(argc, argv);
+}

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <memory>
 
+#include "common/micro_main.h"
 #include "core/proxskip.h"
 #include "data/federation.h"
 #include "data/synthetic.h"
@@ -198,4 +199,6 @@ BENCHMARK(BM_RoundProxSkipVR)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return fedvr::bench::run_micro_benchmarks(argc, argv);
+}

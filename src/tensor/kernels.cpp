@@ -1,6 +1,7 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -11,6 +12,14 @@
 #include "tensor/kernel_dispatch.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
+
+#if defined(FEDVR_KERNEL_HAS_CLONES)
+#include <immintrin.h>
+
+// Hand-written variants next to the FEDVR_KERNEL_CLONES ones.
+#define FEDVR_TARGET_AVX2 __attribute__((target("arch=x86-64-v3")))
+#define FEDVR_TARGET_AVX512 __attribute__((target("arch=x86-64-v4")))
+#endif
 
 namespace fedvr::tensor {
 
@@ -192,7 +201,7 @@ void micro_kernel_avx2(std::size_t pb, const double* a, const double* b,
 }
 
 #if defined(FEDVR_KERNEL_HAS_CLONES)
-__attribute__((target("arch=x86-64-v4")))
+FEDVR_TARGET_AVX512
 void micro_kernel_avx512(std::size_t pb, const double* a, const double* b,
                          double alpha, double* c, std::size_t ldc,
                          std::size_t mr, std::size_t nr) {
@@ -200,43 +209,428 @@ void micro_kernel_avx512(std::size_t pb, const double* a, const double* b,
 }
 #endif
 
-// The register-tile shape and matching microkernel, fixed once per process.
-// AVX-512 machines take the wide tile; everything else (including sanitizer
-// builds, which cannot use target attributes) takes the portable one. The
-// choice is per-machine, never per-run or per-thread, so it cannot perturb
-// the determinism contract.
+// ---- Dot-product GEMM path (small C, long k, both operands k-major) ----
+//
+// When A is untransposed and B is transposed, both operands stream
+// unit-stride along k; when C is also small (Dense's 32 x 10 forward over
+// 784 inputs, conv1's 25 x 32 dW), the blocked path has almost no operand
+// reuse to exploit and spends most of its time packing. Each C element is
+// computed directly as a register-resident dot product instead.
+//
+// Arithmetic, the same in every variant and at every tile position: lane l
+// of kDotLanes is an FMA chain from +0 over the k indices congruent to l
+// modulo kDotLanes, ascending; the k % kDotLanes tail indices fold into
+// lanes 0..k%kDotLanes-1; the lanes are summed in ascending order into s;
+// then c = fma(alpha, s, c). The AVX-512 variant holds an element's lanes
+// in one zmm register, the AVX2 variant in two ymm registers, the portable
+// one in eight std::fma chains, so a row's result never depends on which
+// other rows share its call or its tile.
+constexpr std::size_t kDotLanes = 8;
+constexpr std::size_t kDotMaxC = 4096;  // m * n at or below: C fits L1 easily
+constexpr std::size_t kDotMinK = 128;   // long enough to amortize the reduce
+
+// *c = fma(alpha, lanes[0] + lanes[1] + ... + lanes[7], *c), the lanes
+// summed in ascending order.
+[[gnu::always_inline]] inline void dot_fold(const double* lanes, double alpha,
+                                            double* c) {
+  double s = lanes[0];
+  for (std::size_t l = 1; l < kDotLanes; ++l) s += lanes[l];
+  *c = std::fma(alpha, s, *c);
+}
+
+// One element at a time. Without hardware FMA, std::fma is a libm call: this
+// variant is for builds without target attributes and pre-AVX2 hosts.
+void gemm_dot_portable(std::size_t m, std::size_t n, std::size_t k,
+                       double alpha, const double* a, std::size_t lda,
+                       const double* b, std::size_t ldb, double* c,
+                       std::size_t ldc) {
+  const std::size_t k8 = k - k % kDotLanes;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const double* ap = a + i * lda;
+      const double* bp = b + j * ldb;
+      double lanes[kDotLanes] = {};
+      for (std::size_t p = 0; p < k8; p += kDotLanes) {
+        for (std::size_t l = 0; l < kDotLanes; ++l) {
+          lanes[l] = std::fma(ap[p + l], bp[p + l], lanes[l]);
+        }
+      }
+      for (std::size_t p = k8; p < k; ++p) {
+        lanes[p - k8] = std::fma(ap[p], bp[p], lanes[p - k8]);
+      }
+      dot_fold(lanes, alpha, c + i * ldc + j);
+    }
+  }
+}
+
+// ---- Unpacked A^T * B path (small m: Dense's dW = dy^T * x) ----
+//
+// With few rows of C, the blocked path's packing of the whole k x n operand
+// B on every call dominates (Dense's 10 x 784 dW re-packs the 32 x 784
+// batch). This path reads A (stored k x m) and B (stored k x n) in place: a
+// register tile of rows x column vectors of C walks each KC chunk of k,
+// broadcasting A's elements against B's row vectors. Its per-element
+// arithmetic is exactly the blocked microkernel's: per KC chunk, in
+// ascending chunk order, an FMA chain from +0 over the chunk, then
+// c = fma(alpha, acc, c). It therefore returns the blocked path's bits for
+// every shape it takes. Only the AVX2 and AVX-512 variants have it (their
+// microkernels are FMA chains); elsewhere these shapes stay blocked. At
+// m <= kMc the blocked path runs one row block on one thread, so taking
+// these shapes serially gives up no parallelism.
+constexpr std::size_t kAtbMaxM = kMc;
+
+#if defined(FEDVR_KERNEL_HAS_CLONES)
+// Register tiles. Dot path: rows x columns of C elements. A^T*B path: rows
+// x vectors of C columns.
+constexpr std::size_t kDotTiAvx2 = 3;  // 3 x 2 elements, 12 ymm accumulators
+constexpr std::size_t kDotTjAvx2 = 2;
+constexpr std::size_t kDotTileAvx512 = 5;  // 5 x 5 elements, 25 zmm
+constexpr std::size_t kAtbTiAvx2 = 5;      // 5 rows x 8 columns, 10 ymm
+constexpr std::size_t kAtbTvAvx2 = 2;
+constexpr std::size_t kAtbTiAvx512 = 5;  // 5 rows x 24 columns, 15 zmm
+constexpr std::size_t kAtbTvAvx512 = 3;
+
+// One dot-path tile: c points at its first C element, a and b at the
+// matching rows of A and B. Tile rows and columns past ti / tj re-read the
+// last real one and are never written back.
+FEDVR_TARGET_AVX2 [[gnu::always_inline]] inline void dot_block_avx2(
+    std::size_t ti, std::size_t tj, std::size_t k, double alpha,
+    const double* a, std::size_t lda, const double* b, std::size_t ldb,
+    double* c, std::size_t ldc) {
+  constexpr std::size_t TI = kDotTiAvx2;
+  constexpr std::size_t TJ = kDotTjAvx2;
+  const double* ar[TI];
+  const double* br[TJ];
+  for (std::size_t i = 0; i < TI; ++i) ar[i] = a + std::min(i, ti - 1) * lda;
+  for (std::size_t j = 0; j < TJ; ++j) br[j] = b + std::min(j, tj - 1) * ldb;
+  __m256d acc[TI][TJ][2];  // lanes 0-3 and 4-7
+  for (auto& row : acc) {
+    for (auto& el : row) el[0] = el[1] = _mm256_setzero_pd();
+  }
+  const std::size_t k8 = k - k % kDotLanes;
+  for (std::size_t p = 0; p < k8; p += kDotLanes) {
+    for (std::size_t h = 0; h < 2; ++h) {
+      __m256d av[TI];
+      for (std::size_t i = 0; i < TI; ++i) {
+        av[i] = _mm256_loadu_pd(ar[i] + p + 4 * h);
+      }
+      for (std::size_t j = 0; j < TJ; ++j) {
+        const __m256d bv = _mm256_loadu_pd(br[j] + p + 4 * h);
+        for (std::size_t i = 0; i < TI; ++i) {
+          acc[i][j][h] = _mm256_fmadd_pd(av[i], bv, acc[i][j][h]);
+        }
+      }
+    }
+  }
+  if (k8 < k) {
+    // Tail products go to lanes 0..k%8-1; the blend keeps every other lane
+    // bit for bit.
+    const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+    for (std::size_t h = 0; h < 2; ++h) {
+      const long long live = static_cast<long long>(k - k8) -
+                             static_cast<long long>(4 * h);
+      const __m256i mask = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), lane);
+      __m256d av[TI];
+      for (std::size_t i = 0; i < TI; ++i) {
+        av[i] = _mm256_maskload_pd(ar[i] + k8 + 4 * h, mask);
+      }
+      for (std::size_t j = 0; j < TJ; ++j) {
+        const __m256d bv = _mm256_maskload_pd(br[j] + k8 + 4 * h, mask);
+        for (std::size_t i = 0; i < TI; ++i) {
+          acc[i][j][h] = _mm256_blendv_pd(
+              acc[i][j][h], _mm256_fmadd_pd(av[i], bv, acc[i][j][h]),
+              _mm256_castsi256_pd(mask));
+        }
+      }
+    }
+  }
+  // Constant trip counts, so acc stays in registers through the loops above.
+  for (std::size_t i = 0; i < TI; ++i) {
+    for (std::size_t j = 0; j < TJ; ++j) {
+      if (i >= ti || j >= tj) continue;
+      alignas(32) double lanes[kDotLanes];
+      _mm256_store_pd(lanes, acc[i][j][0]);
+      _mm256_store_pd(lanes + 4, acc[i][j][1]);
+      dot_fold(lanes, alpha, c + i * ldc + j);
+    }
+  }
+}
+
+FEDVR_TARGET_AVX2
+void gemm_dot_avx2(std::size_t m, std::size_t n, std::size_t k, double alpha,
+                   const double* a, std::size_t lda, const double* b,
+                   std::size_t ldb, double* c, std::size_t ldc) {
+  for (std::size_t i = 0; i < m; i += kDotTiAvx2) {
+    for (std::size_t j = 0; j < n; j += kDotTjAvx2) {
+      dot_block_avx2(std::min(kDotTiAvx2, m - i), std::min(kDotTjAvx2, n - j),
+                     k, alpha, a + i * lda, lda, b + j * ldb, ldb,
+                     c + i * ldc + j, ldc);
+    }
+  }
+}
+
+FEDVR_TARGET_AVX512 [[gnu::always_inline]] inline void dot_block_avx512(
+    std::size_t ti, std::size_t tj, std::size_t k, double alpha,
+    const double* a, std::size_t lda, const double* b, std::size_t ldb,
+    double* c, std::size_t ldc) {
+  constexpr std::size_t T = kDotTileAvx512;
+  const double* ar[T];
+  const double* br[T];
+  for (std::size_t t = 0; t < T; ++t) {
+    ar[t] = a + std::min(t, ti - 1) * lda;
+    br[t] = b + std::min(t, tj - 1) * ldb;
+  }
+  __m512d acc[T][T];
+  for (auto& row : acc) {
+    for (auto& el : row) el = _mm512_setzero_pd();
+  }
+  const std::size_t k8 = k - k % kDotLanes;
+  for (std::size_t p = 0; p < k8; p += kDotLanes) {
+    __m512d av[T];
+    for (std::size_t i = 0; i < T; ++i) av[i] = _mm512_loadu_pd(ar[i] + p);
+    for (std::size_t j = 0; j < T; ++j) {
+      const __m512d bv = _mm512_loadu_pd(br[j] + p);
+      for (std::size_t i = 0; i < T; ++i) {
+        acc[i][j] = _mm512_fmadd_pd(av[i], bv, acc[i][j]);
+      }
+    }
+  }
+  if (k8 < k) {
+    // Tail products go to lanes 0..k%8-1; mask3 keeps every other lane bit
+    // for bit.
+    const auto tail = static_cast<__mmask8>((1U << (k - k8)) - 1);
+    __m512d av[T];
+    for (std::size_t i = 0; i < T; ++i) {
+      av[i] = _mm512_maskz_loadu_pd(tail, ar[i] + k8);
+    }
+    for (std::size_t j = 0; j < T; ++j) {
+      const __m512d bv = _mm512_maskz_loadu_pd(tail, br[j] + k8);
+      for (std::size_t i = 0; i < T; ++i) {
+        acc[i][j] = _mm512_mask3_fmadd_pd(av[i], bv, acc[i][j], tail);
+      }
+    }
+  }
+  // Constant trip counts, so acc stays in registers through the loops above.
+  for (std::size_t i = 0; i < T; ++i) {
+    for (std::size_t j = 0; j < T; ++j) {
+      if (i >= ti || j >= tj) continue;
+      alignas(64) double lanes[kDotLanes];
+      _mm512_store_pd(lanes, acc[i][j]);
+      dot_fold(lanes, alpha, c + i * ldc + j);
+    }
+  }
+}
+
+FEDVR_TARGET_AVX512
+void gemm_dot_avx512(std::size_t m, std::size_t n, std::size_t k,
+                     double alpha, const double* a, std::size_t lda,
+                     const double* b, std::size_t ldb, double* c,
+                     std::size_t ldc) {
+  constexpr std::size_t t = kDotTileAvx512;
+  for (std::size_t i = 0; i < m; i += t) {
+    for (std::size_t j = 0; j < n; j += t) {
+      dot_block_avx512(std::min(t, m - i), std::min(t, n - j), k, alpha,
+                       a + i * lda, lda, b + j * ldb, ldb, c + i * ldc + j,
+                       ldc);
+    }
+  }
+}
+
+// One A^T*B tile over one KC chunk of pb depth steps: a points at A(p0, i0)
+// (A is stored k x m), b at B(p0, j0), c at C(i0, j0). Tile rows past ti
+// re-read row ti-1 and are never written back; columns past `cols` are
+// masked out of every load and store.
+FEDVR_TARGET_AVX2 [[gnu::always_inline]] inline void atb_block_avx2(
+    std::size_t ti, std::size_t cols, std::size_t pb, double alpha,
+    const double* a, std::size_t lda, const double* b, std::size_t ldb,
+    double* c, std::size_t ldc) {
+  constexpr std::size_t TI = kAtbTiAvx2;
+  constexpr std::size_t TV = kAtbTvAvx2;
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  __m256i mask[TV];
+  for (std::size_t v = 0; v < TV; ++v) {
+    const long long live =
+        static_cast<long long>(cols) - static_cast<long long>(4 * v);
+    mask[v] = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), lane);
+  }
+  std::size_t row[TI];
+  for (std::size_t i = 0; i < TI; ++i) row[i] = std::min(i, ti - 1);
+  __m256d acc[TI][TV];
+  for (auto& r : acc) {
+    for (auto& v : r) v = _mm256_setzero_pd();
+  }
+  for (std::size_t p = 0; p < pb; ++p) {
+    __m256d bv[TV];
+    for (std::size_t v = 0; v < TV; ++v) {
+      bv[v] = _mm256_maskload_pd(b + p * ldb + 4 * v, mask[v]);
+    }
+    for (std::size_t i = 0; i < TI; ++i) {
+      const __m256d av = _mm256_broadcast_sd(a + p * lda + row[i]);
+      for (std::size_t v = 0; v < TV; ++v) {
+        acc[i][v] = _mm256_fmadd_pd(av, bv[v], acc[i][v]);
+      }
+    }
+  }
+  const __m256d va = _mm256_set1_pd(alpha);
+  for (std::size_t i = 0; i < TI; ++i) {
+    if (i >= ti) break;  // constant trip count: acc stays in registers
+    for (std::size_t v = 0; v < TV; ++v) {
+      double* cp = c + i * ldc + 4 * v;
+      const __m256d cv = _mm256_maskload_pd(cp, mask[v]);
+      _mm256_maskstore_pd(cp, mask[v], _mm256_fmadd_pd(va, acc[i][v], cv));
+    }
+  }
+}
+
+FEDVR_TARGET_AVX2
+void gemm_atb_avx2(std::size_t m, std::size_t n, std::size_t k, double alpha,
+                   const double* a, std::size_t lda, const double* b,
+                   std::size_t ldb, double* c, std::size_t ldc) {
+  constexpr std::size_t width = 4 * kAtbTvAvx2;
+  for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
+    const std::size_t pb = std::min(kKc, k - p0);
+    for (std::size_t j0 = 0; j0 < n; j0 += width) {
+      for (std::size_t i0 = 0; i0 < m; i0 += kAtbTiAvx2) {
+        atb_block_avx2(std::min(kAtbTiAvx2, m - i0), std::min(width, n - j0),
+                       pb, alpha, a + p0 * lda + i0, lda, b + p0 * ldb + j0,
+                       ldb, c + i0 * ldc + j0, ldc);
+      }
+    }
+  }
+}
+
+FEDVR_TARGET_AVX512 [[gnu::always_inline]] inline void atb_block_avx512(
+    std::size_t ti, std::size_t cols, std::size_t pb, double alpha,
+    const double* a, std::size_t lda, const double* b, std::size_t ldb,
+    double* c, std::size_t ldc) {
+  constexpr std::size_t TI = kAtbTiAvx512;
+  constexpr std::size_t TV = kAtbTvAvx512;
+  __mmask8 mask[TV];
+  for (std::size_t v = 0; v < TV; ++v) {
+    const std::size_t live =
+        cols > 8 * v ? std::min<std::size_t>(8, cols - 8 * v) : 0;
+    mask[v] = static_cast<__mmask8>((1U << live) - 1);
+  }
+  std::size_t row[TI];
+  for (std::size_t i = 0; i < TI; ++i) row[i] = std::min(i, ti - 1);
+  __m512d acc[TI][TV];
+  for (auto& r : acc) {
+    for (auto& v : r) v = _mm512_setzero_pd();
+  }
+  for (std::size_t p = 0; p < pb; ++p) {
+    __m512d bv[TV];
+    for (std::size_t v = 0; v < TV; ++v) {
+      bv[v] = _mm512_maskz_loadu_pd(mask[v], b + p * ldb + 8 * v);
+    }
+    for (std::size_t i = 0; i < TI; ++i) {
+      const __m512d av = _mm512_set1_pd(a[p * lda + row[i]]);
+      for (std::size_t v = 0; v < TV; ++v) {
+        acc[i][v] = _mm512_fmadd_pd(av, bv[v], acc[i][v]);
+      }
+    }
+  }
+  const __m512d va = _mm512_set1_pd(alpha);
+  for (std::size_t i = 0; i < TI; ++i) {
+    if (i >= ti) break;  // constant trip count: acc stays in registers
+    for (std::size_t v = 0; v < TV; ++v) {
+      double* cp = c + i * ldc + 8 * v;
+      const __m512d cv = _mm512_maskz_loadu_pd(mask[v], cp);
+      _mm512_mask_storeu_pd(cp, mask[v], _mm512_fmadd_pd(va, acc[i][v], cv));
+    }
+  }
+}
+
+FEDVR_TARGET_AVX512
+void gemm_atb_avx512(std::size_t m, std::size_t n, std::size_t k,
+                     double alpha, const double* a, std::size_t lda,
+                     const double* b, std::size_t ldb, double* c,
+                     std::size_t ldc) {
+  constexpr std::size_t width = 8 * kAtbTvAvx512;
+  for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
+    const std::size_t pb = std::min(kKc, k - p0);
+    for (std::size_t j0 = 0; j0 < n; j0 += width) {
+      for (std::size_t i0 = 0; i0 < m; i0 += kAtbTiAvx512) {
+        atb_block_avx512(std::min(kAtbTiAvx512, m - i0),
+                         std::min(width, n - j0), pb, alpha,
+                         a + p0 * lda + i0, lda, b + p0 * ldb + j0, ldb,
+                         c + i0 * ldc + j0, ldc);
+      }
+    }
+  }
+}
+#endif  // FEDVR_KERNEL_HAS_CLONES
+
+// ---- ISA variants ----
+//
+// One variant per ISA level: the blocked path's register tile and
+// microkernel, the dot-path kernel, and the A^T*B kernel (nullptr: those
+// shapes stay blocked). gemm uses the host's best variant, fixed once per
+// process; builds without target attributes (sanitizers) have only the
+// portable one. The choice is per machine, never per run or per thread, so
+// it cannot perturb the determinism contract. detail::set_kernel_isa lets
+// tests run the others and compare their bits.
+using PathKernel = void(std::size_t m, std::size_t n, std::size_t k,
+                        double alpha, const double* a, std::size_t lda,
+                        const double* b, std::size_t ldb, double* c,
+                        std::size_t ldc);
+
 struct KernelShape {
   std::size_t mr;
   std::size_t nr;
   void (*kernel)(std::size_t, const double*, const double*, double, double*,
                  std::size_t, std::size_t, std::size_t);
+  PathKernel* dot;
+  PathKernel* atb;
 };
 
-const KernelShape& kernel_shape() {
-  static const KernelShape shape = [] {
+KernelShape shape_for(detail::KernelIsa isa) {
+  switch (isa) {
 #if defined(FEDVR_KERNEL_HAS_CLONES)
-    if (__builtin_cpu_supports("avx512f")) {
-      return KernelShape{kMrAvx512, kNrAvx512, micro_kernel_avx512};
-    }
+    case detail::KernelIsa::kAvx512:
+      return {kMrAvx512, kNrAvx512, micro_kernel_avx512, gemm_dot_avx512,
+              gemm_atb_avx512};
+    case detail::KernelIsa::kAvx2:
+      return {kMrAvx2, kNrAvx2, micro_kernel_avx2, gemm_dot_avx2,
+              gemm_atb_avx2};
 #endif
-    return KernelShape{kMrAvx2, kNrAvx2, micro_kernel_avx2};
-  }();
-  return shape;
+    default:
+      return {kMrAvx2, kNrAvx2, micro_kernel_avx2, gemm_dot_portable, nullptr};
+  }
+}
+
+detail::KernelIsa best_isa() {
+  for (auto isa : {detail::KernelIsa::kAvx512, detail::KernelIsa::kAvx2}) {
+    if (detail::kernel_isa_supported(isa)) return isa;
+  }
+  return detail::KernelIsa::kPortable;
+}
+
+std::atomic<detail::KernelIsa>& active_isa() {
+  static std::atomic<detail::KernelIsa> isa{best_isa()};
+  return isa;
+}
+
+const KernelShape& kernel_shape() {
+  static const KernelShape shapes[] = {
+      shape_for(detail::KernelIsa::kPortable),
+      shape_for(detail::KernelIsa::kAvx2),
+      shape_for(detail::KernelIsa::kAvx512)};
+  return shapes[static_cast<std::size_t>(active_isa().load())];
 }
 
 // The blocked path: jc (NC) -> pc (KC, serial so the k-order is fixed) ->
 // parallel over ic (MC row-blocks of C, disjoint) -> jr (NR) -> ir (MR).
 // beta has already been applied to C by the caller.
-void gemm_blocked(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
-                  std::size_t k, double alpha, std::span<const double> a,
-                  std::size_t lda, std::span<const double> b, std::size_t ldb,
+void gemm_blocked(const KernelShape& ks, Trans trans_a, Trans trans_b,
+                  std::size_t m, std::size_t n, std::size_t k, double alpha,
+                  std::span<const double> a, std::size_t lda,
+                  std::span<const double> b, std::size_t ldb,
                   std::span<double> c, std::size_t ldc) {
   // One B-panel allocation per gemm call, sized for the largest (p0, j0)
   // panel; each iteration packs into its prefix. The panel lives on the
   // calling thread's arena and is read-only for the workers (parallel_for's
   // task handoff publishes it); workers draw their A blocks from their own
   // per-thread arenas (inline execution nests scopes LIFO on this one).
-  const KernelShape& ks = kernel_shape();
   const std::size_t mr_t = ks.mr;
   const std::size_t nr_t = ks.nr;
   Workspace ws(scratch_arena());
@@ -278,85 +672,6 @@ void gemm_blocked(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   }
 }
 
-// ---- Dot-product GEMM path (small C, long k, both operands k-major) ----
-//
-// When A is untransposed and B is transposed, both operands stream
-// unit-stride along k; when C is also tiny (e.g. conv1's 25 x 32 dW with
-// k = 784), the blocked path has almost no operand reuse to exploit and
-// spends most of its time packing and re-streaming slivers. Computing each
-// C element directly as a register-resident dot product wins there.
-//
-// Determinism: each element is accumulated into kDotLanes independent
-// partial sums (lane l takes the k indices congruent to l modulo
-// kDotLanes, tail indices fold into lanes 0..k%kDotLanes), then reduced in
-// ascending lane order. The tile grouping below never changes any
-// element's arithmetic, and path selection depends only on the shape.
-constexpr std::size_t kDotLanes = 8;
-constexpr std::size_t kDotMaxC = 4096;  // m * n at or below: C fits L1 easily
-constexpr std::size_t kDotMinK = 128;   // long enough to amortize the reduce
-
-template <std::size_t TI, std::size_t TJ>
-[[gnu::always_inline]] inline void dot_tile(std::size_t k, double alpha,
-                                            const double* a, std::size_t lda,
-                                            const double* b, std::size_t ldb,
-                                            double* c, std::size_t ldc) {
-  double acc[TI][TJ][kDotLanes] = {};
-  const std::size_t k8 = k - k % kDotLanes;
-  for (std::size_t p = 0; p < k8; p += kDotLanes) {
-    for (std::size_t i = 0; i < TI; ++i) {
-      for (std::size_t j = 0; j < TJ; ++j) {
-        const double* ap = a + i * lda + p;
-        const double* bp = b + j * ldb + p;
-        for (std::size_t l = 0; l < kDotLanes; ++l) {
-          acc[i][j][l] += ap[l] * bp[l];
-        }
-      }
-    }
-  }
-  for (std::size_t p = k8; p < k; ++p) {
-    for (std::size_t i = 0; i < TI; ++i) {
-      for (std::size_t j = 0; j < TJ; ++j) {
-        acc[i][j][p - k8] += a[i * lda + p] * b[j * ldb + p];
-      }
-    }
-  }
-  for (std::size_t i = 0; i < TI; ++i) {
-    for (std::size_t j = 0; j < TJ; ++j) {
-      double s = acc[i][j][0];
-      for (std::size_t l = 1; l < kDotLanes; ++l) s += acc[i][j][l];
-      c[i * ldc + j] += alpha * s;
-    }
-  }
-}
-
-FEDVR_KERNEL_CLONES
-void gemm_dot_core(std::size_t m, std::size_t n, std::size_t k, double alpha,
-                   const double* a, std::size_t lda, const double* b,
-                   std::size_t ldb, double* c, std::size_t ldc) {
-  const std::size_t m2 = m - m % 2;
-  const std::size_t n2 = n - n % 2;
-  for (std::size_t i = 0; i < m2; i += 2) {
-    for (std::size_t j = 0; j < n2; j += 2) {
-      dot_tile<2, 2>(k, alpha, a + i * lda, lda, b + j * ldb, ldb,
-                     c + i * ldc + j, ldc);
-    }
-    if (n2 < n) {
-      dot_tile<2, 1>(k, alpha, a + i * lda, lda, b + n2 * ldb, ldb,
-                     c + i * ldc + n2, ldc);
-    }
-  }
-  if (m2 < m) {
-    for (std::size_t j = 0; j < n2; j += 2) {
-      dot_tile<1, 2>(k, alpha, a + m2 * lda, lda, b + j * ldb, ldb,
-                     c + m2 * ldc + j, ldc);
-    }
-    if (n2 < n) {
-      dot_tile<1, 1>(k, alpha, a + m2 * lda, lda, b + n2 * ldb, ldb,
-                     c + m2 * ldc + n2, ldc);
-    }
-  }
-}
-
 // y[i] += alpha * <A row i, x> for i in [lo, hi).
 FEDVR_KERNEL_CLONES
 void gemv_rows(std::size_t lo, std::size_t hi, std::size_t cols, double alpha,
@@ -383,6 +698,32 @@ void gemv_cols(std::size_t lo, std::size_t hi, std::size_t rows,
 }
 
 }  // namespace
+
+namespace detail {
+
+bool kernel_isa_supported(KernelIsa isa) {
+  switch (isa) {
+    case KernelIsa::kPortable:
+      return true;
+#if defined(FEDVR_KERNEL_HAS_CLONES)
+    case KernelIsa::kAvx2:
+      return __builtin_cpu_supports("x86-64-v3") != 0;
+    case KernelIsa::kAvx512:
+      return __builtin_cpu_supports("x86-64-v4") != 0;
+#endif
+    default:
+      return false;
+  }
+}
+
+KernelIsa set_kernel_isa(KernelIsa isa) {
+  FEDVR_CHECK_MSG(kernel_isa_supported(isa),
+                  "set_kernel_isa: variant " << static_cast<int>(isa)
+                                             << " not supported here");
+  return active_isa().exchange(isa);
+}
+
+}  // namespace detail
 
 void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
           std::size_t k, double alpha, std::span<const double> a,
@@ -419,17 +760,24 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   FEDVR_OBS_COUNT("tensor.gemm.flops", 2ULL * m * n * k);
 
   // Shape-only path selection (see the path comments for why each exists);
-  // the dot path must be tested before the blocked one — its shapes usually
-  // clear the blocked volume floor but run far faster unblocked.
+  // the dot and A^T*B paths must be tested before the blocked one — their
+  // shapes usually clear the blocked volume floor but run far faster
+  // unpacked.
+  const KernelShape& ks = kernel_shape();
   if (trans_a == Trans::kNo && trans_b == Trans::kYes && m * n <= kDotMaxC &&
       k >= kDotMinK) {
-    gemm_dot_core(m, n, k, alpha, a.data(), lda, b.data(), ldb, c.data(),
-                  ldc);
+    ks.dot(m, n, k, alpha, a.data(), lda, b.data(), ldb, c.data(), ldc);
     return;
   }
 
   if (m * n * k >= kBlockedMinVolume) {
-    gemm_blocked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+    if (ks.atb != nullptr && trans_a == Trans::kYes &&
+        trans_b == Trans::kNo && m <= kAtbMaxM) {
+      ks.atb(m, n, k, alpha, a.data(), lda, b.data(), ldb, c.data(), ldc);
+    } else {
+      gemm_blocked(ks, trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, c,
+                   ldc);
+    }
     return;
   }
 

@@ -1,10 +1,11 @@
-// Randomized oracle sweep for the blocked GEMM/GEMV kernels: every result
-// is compared against a naive triple-loop reference across all four
-// transpose combos, strided leading dimensions, degenerate shapes
-// (m/n/k in {0,1}), and non-unit alpha/beta — both with runtime checks on
-// (default) and off, since the kernels must not depend on check-side
-// effects. A final test pins the determinism contract: the blocked path
-// must produce bit-identical C for pool sizes 1 and 3.
+// Randomized oracle sweep for the GEMM/GEMV kernels: every result is
+// compared against a naive triple-loop reference across all four transpose
+// combos, strided leading dimensions, degenerate shapes (m/n/k in {0,1}),
+// non-unit alpha/beta, and shapes on both sides of every path-selection
+// boundary — both with runtime checks on (default) and off, since the
+// kernels must not depend on check-side effects. The last tests pin the
+// determinism contract: bit-identical C for pool sizes 1 and 3, and for
+// every kernel variant (ISA level) the host supports.
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "check/check.h"
+#include "tensor/kernel_dispatch.h"
 #include "tensor/kernels.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -29,11 +31,26 @@ struct GemmCase {
 };
 
 // Degenerate shapes, remainder-heavy shapes around the register tile, and
-// shapes large enough to take the blocked parallel path.
+// shapes large enough to take the blocked parallel path. Then both sides of
+// each path-selection boundary in kernels.cpp (the transpose combo decides
+// which path a shape can take at all):
+//  * dot path (kNo x kYes, m*n <= 4096, k >= 128): k = 127/128/129, and
+//    m*n = 4096 / 4097; Dense's forward and eval-chunk shapes;
+//  * A^T*B path (kYes x kNo, m <= 60, m*n*k >= 32768): m = 59/60/61, and
+//    volumes just under / at / over 32768; Dense's dW, and a k spanning two
+//    256-deep chunks.
 const GemmCase kShapes[] = {
-    {0, 0, 0},  {0, 5, 3},    {4, 0, 3},     {4, 5, 0},      {1, 1, 1},
-    {2, 3, 1},  {5, 1, 7},    {17, 9, 3},    {23, 31, 19},   {40, 48, 56},
-    {70, 65, 72}, {1, 50, 1}, {61, 263, 129}, {128, 61, 300},
+    {0, 0, 0},     {0, 5, 3},     {4, 0, 3},      {4, 5, 0},
+    {1, 1, 1},     {2, 3, 1},     {5, 1, 7},      {17, 9, 3},
+    {23, 31, 19},  {40, 48, 56},  {70, 65, 72},   {1, 50, 1},
+    {61, 263, 129}, {128, 61, 300},
+    // dot path
+    {5, 7, 127},   {5, 7, 128},   {5, 7, 129},    {64, 64, 130},
+    {17, 241, 130}, {32, 10, 784}, {64, 10, 784},  {25, 32, 784},
+    {1, 10, 131},
+    // A^T*B path
+    {59, 41, 40},  {60, 41, 40},  {61, 41, 40},   {8, 64, 63},
+    {8, 64, 64},   {8, 65, 64},   {10, 784, 32},  {10, 37, 300},
 };
 
 void sweep_gemm() {
@@ -139,9 +156,40 @@ TEST(GemmOracle, MatchesNaiveReferenceWithChecksDisabled) {
   check::set_enabled(previous);
 }
 
-// Determinism contract: the blocked parallel path must be bit-identical
-// across pool sizes, because the k-accumulation order of every C element is
-// fixed by the blocking constants, never the thread partition.
+// Runs every kShapes case in every transpose combo and alpha/beta pair with
+// strided leading dimensions, and returns all the C matrices end to end.
+// The last pair's alpha is no power of two, so a path that rounds
+// alpha * acc before adding it to C shows up in the bits.
+std::vector<double> sweep_outputs() {
+  util::Rng rng(99);
+  const std::pair<double, double> coeffs[] = {
+      {1.0, 0.0}, {0.5, 1.0}, {2.0, -0.25}, {-0.7, 1.3}};
+  std::vector<double> out;
+  for (Trans ta : {Trans::kNo, Trans::kYes}) {
+    for (Trans tb : {Trans::kNo, Trans::kYes}) {
+      for (const GemmCase& s : kShapes) {
+        for (const auto& [alpha, beta] : coeffs) {
+          const std::size_t a_rows = ta == Trans::kNo ? s.m : s.k;
+          const std::size_t b_rows = tb == Trans::kNo ? s.k : s.n;
+          const std::size_t lda = (ta == Trans::kNo ? s.k : s.m) + 3;
+          const std::size_t ldb = (tb == Trans::kNo ? s.n : s.k) + 3;
+          const std::size_t ldc = s.n + 3;
+          std::vector<double> a(a_rows * lda), b(b_rows * ldb), c(s.m * ldc);
+          for (auto& v : a) v = rng.normal();
+          for (auto& v : b) v = rng.normal();
+          for (auto& v : c) v = rng.normal();
+          gemm(ta, tb, s.m, s.n, s.k, alpha, a, lda, b, ldb, beta, c, ldc);
+          out.insert(out.end(), c.begin(), c.end());
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Determinism contract: every path must be bit-identical across pool
+// sizes, because the k-accumulation order of every C element is fixed by
+// the path's constants, never the thread partition.
 TEST(GemmOracle, BitIdenticalAcrossPoolSizes) {
   const std::size_t m = 300, n = 200, k = 150;
   util::Rng rng(3);
@@ -151,11 +199,42 @@ TEST(GemmOracle, BitIdenticalAcrossPoolSizes) {
   std::vector<double> c1(m * n, 0.0), c3(m * n, 0.0);
   util::ThreadPool::reset_global(1);
   gemm_packed(Trans::kNo, Trans::kYes, m, n, k, 1.0, a, b, 0.0, c1);
+  const std::vector<double> sweep1 = sweep_outputs();
   util::ThreadPool::reset_global(3);
   gemm_packed(Trans::kNo, Trans::kYes, m, n, k, 1.0, a, b, 0.0, c3);
+  const std::vector<double> sweep3 = sweep_outputs();
   util::ThreadPool::reset_global(0);
   EXPECT_EQ(0, std::memcmp(c1.data(), c3.data(), c1.size() * sizeof(double)));
   EXPECT_EQ(check::hash_span(c1), check::hash_span(c3));
+  ASSERT_EQ(sweep1.size(), sweep3.size());
+  EXPECT_EQ(0, std::memcmp(sweep1.data(), sweep3.data(),
+                           sweep1.size() * sizeof(double)));
+}
+
+// The AVX2 and AVX-512 variants (and the portable one, on hosts that have
+// either) must give the same bits on every path: the dot and A^T*B kernels
+// run the same FMA chains in registers of different widths, and the two
+// blocked microkernels differ only in tile shape.
+TEST(GemmOracle, BitIdenticalAcrossKernelVariants) {
+  using detail::KernelIsa;
+  std::vector<double> first;
+  int variants = 0;
+  for (KernelIsa isa :
+       {KernelIsa::kPortable, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (!detail::kernel_isa_supported(isa)) continue;
+    const KernelIsa saved = detail::set_kernel_isa(isa);
+    const std::vector<double> out = sweep_outputs();
+    detail::set_kernel_isa(saved);
+    if (variants++ == 0) {
+      first = out;
+      continue;
+    }
+    ASSERT_EQ(first.size(), out.size());
+    EXPECT_EQ(0, std::memcmp(first.data(), out.data(),
+                             out.size() * sizeof(double)))
+        << "variant " << static_cast<int>(isa) << " differs from the first";
+  }
+  if (variants < 2) GTEST_SKIP() << "only one kernel variant on this host";
 }
 
 }  // namespace

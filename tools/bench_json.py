@@ -4,6 +4,12 @@
 Produces BENCH_kernels.json at the repo root (or --out): a trimmed,
 stable-ordered subset of google-benchmark's JSON output plus build context,
 suitable for committing as a performance baseline and diffing across PRs.
+Every row's real_time_ns / cpu_time_ns is in nanoseconds, whatever unit the
+benchmark reported in. The context records this project's CMAKE_BUILD_TYPE
+(build_type) and global pool size (pool_threads) as the micro_* binaries
+report them; libbenchmark_build_type is the installed libbenchmark's.
+Top-level keys of an existing output file that this tool does not write
+(pre_blocking_baseline) are carried over.
 
 Usage:
     python3 tools/bench_json.py --binary build/bench/micro_kernels
@@ -32,22 +38,23 @@ def run_benchmark(binary: pathlib.Path, min_time: float,
     return json.loads(proc.stdout)
 
 
+# Nanoseconds per google-benchmark time_unit.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
 def summarize(raw: dict) -> dict:
     ctx = raw.get("context", {})
     rows = []
     for b in raw.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
+        ns = NS_PER_UNIT[b.get("time_unit", "ns")]
         row = {
             "name": b["name"],
-            "real_time_ns": round(b["real_time"], 1),
-            "cpu_time_ns": round(b["cpu_time"], 1),
+            "real_time_ns": round(b["real_time"] * ns, 1),
+            "cpu_time_ns": round(b["cpu_time"] * ns, 1),
             "iterations": b["iterations"],
         }
-        # The *_ns keys are literal only for ns-unit benchmarks; ms-unit
-        # ones (micro_rounds) carry their unit explicitly.
-        if b.get("time_unit", "ns") != "ns":
-            row["time_unit"] = b["time_unit"]
         if "items_per_second" in b:
             # items == FLOPs for the GEMM benchmarks, so this is FLOP/s.
             row["items_per_second"] = round(b["items_per_second"], 1)
@@ -70,10 +77,23 @@ def summarize(raw: dict) -> dict:
             "host_name": ctx.get("host_name", ""),
             "num_cpus": ctx.get("num_cpus", 0),
             "mhz_per_cpu": ctx.get("mhz_per_cpu", 0),
-            "library_build_type": ctx.get("library_build_type", ""),
+            "build_type": ctx.get("fedvr_build_type", ""),
+            "pool_threads": int(ctx.get("fedvr_pool_threads", 0)),
+            "libbenchmark_build_type": ctx.get("library_build_type", ""),
         },
         "benchmarks": rows,
     }
+
+
+def carried_over(out: pathlib.Path) -> dict:
+    """Top-level keys of an existing snapshot that summarize() does not
+    write, such as BENCH_kernels.json's pre_blocking_baseline."""
+    try:
+        old = json.loads(out.read_text())
+    except (OSError, ValueError):
+        return {}
+    return {k: v for k, v in old.items()
+            if k not in ("context", "benchmarks")}
 
 
 def main() -> int:
@@ -96,6 +116,7 @@ def main() -> int:
         return 1
     raw = run_benchmark(args.binary, args.min_time, args.filter)
     summary = summarize(raw)
+    summary.update(carried_over(args.out))
     args.out.write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {args.out} ({len(summary['benchmarks'])} benchmarks)")
     return 0
