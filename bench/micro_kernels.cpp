@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels underneath the
 // experiment harness: GEMM, im2col, the vector ops in the solver's inner
-// loop, the prox step, and one full LocalSolver inner iteration on both
+// loop, the prox step, the finite check, and one full local solve on both
 // tasks. Not tied to a paper table; used to track substrate performance.
 //
 // Every benchmark whose timed code can fan out on the thread pool is
@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "check/check.h"
 #include "common/micro_main.h"
 #include "data/synthetic.h"
 #include "nn/models.h"
@@ -163,6 +164,7 @@ void BM_Im2col28x28(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2col28x28);
 
+// The solver's line-8 step w^(t+1) = prox(w^(t) - eta v^(t)), one pass.
 void BM_AxpyProxStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(3);
@@ -171,15 +173,28 @@ void BM_AxpyProxStep(benchmark::State& state) {
   for (auto& x : v) x = rng.normal();
   for (auto& x : anchor) x = rng.normal();
   for (auto _ : state) {
-    tensor::copy(w, out);
-    tensor::axpy(-0.01, v, out);
-    tensor::prox_quadratic(out, anchor, 0.01, 0.5, out);
+    tensor::prox_gradient_step(w, v, anchor, 0.01, 0.5, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_AxpyProxStep)->Arg(1 << 10)->Arg(1 << 16);
+
+// FEDVR_CHECK_FINITE's scan over a clean vector (7850: the 784->10 logistic
+// model's parameter count).
+void BM_FirstNonFinite(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(4);
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.normal();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(check::first_non_finite(v));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_FirstNonFinite)->Arg(1024)->Arg(7850)->Arg(65536);
 
 // range(0) is the input dim: 60 (the synthetic task) or 784 (convex_fig2's
 // 28x28 images).
@@ -224,13 +239,17 @@ void BM_CnnMinibatchGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_CnnMinibatchGradient)->UseRealTime();
 
+// One local solve: range(0) picks the estimator, range(1) the input dim.
+// At 60 the shard has 200 samples; at 784 the solve is convex_fig2's
+// (Fig. 2(b): a 270-sample shard, B = 32, tau = 20, SVRG).
 void BM_LocalSolverRound(benchmark::State& state) {
-  const std::size_t dim = 60, classes = 10;
+  const auto dim = static_cast<std::size_t>(state.range(1));
+  const std::size_t classes = 10;
   const auto model = nn::make_logistic_regression(dim, classes);
   data::SyntheticConfig cfg;
   cfg.dim = dim;
   cfg.num_classes = classes;
-  const auto ds = data::make_synthetic_device(cfg, 0, 200);
+  const auto ds = data::make_synthetic_device(cfg, 0, dim == 60 ? 200 : 270);
   opt::LocalSolverOptions opts;
   opts.estimator =
       state.range(0) == 0 ? opt::Estimator::kSgd
@@ -249,9 +268,10 @@ void BM_LocalSolverRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalSolverRound)
-    ->Arg(0)  // SGD
-    ->Arg(1)  // SVRG
-    ->Arg(2)  // SARAH
+    ->Args({0, 60})   // SGD
+    ->Args({1, 60})   // SVRG
+    ->Args({2, 60})   // SARAH
+    ->Args({1, 784})  // SVRG, convex_fig2's solve
     ->UseRealTime();
 
 }  // namespace

@@ -1,9 +1,9 @@
 // End-to-end round throughput for the federated engines: full training
 // rounds on the paper's Synthetic federation with a logistic-regression
 // model, reported as device activations/s and local updates/s, plus the
-// arena heap traffic per round — the observable behind the zero-allocation
-// claim (allocs_per_round stays ~0 once the per-thread arenas and the
-// per-device solver workspaces are warm). Rounds run their devices on the
+// heap allocations per round: every operator new the process makes during
+// the timed runs, counted by the replacement operator new this binary
+// links (tests/testing/alloc_counter.cpp). Rounds run their devices on the
 // thread pool, so every benchmark here is timed (and its rates computed) in
 // wall time.
 //
@@ -21,7 +21,7 @@
 #include "fl/trainer.h"
 #include "nn/models.h"
 #include "opt/local_solver.h"
-#include "tensor/arena.h"
+#include "testing/alloc_counter.h"
 
 namespace {
 
@@ -56,8 +56,8 @@ opt::LocalSolverOptions solver_options() {
 }
 
 // Shared skeleton: one warm run primes the thread-pool arenas and the
-// trainer's workspace pool outside the timing loop, then the heap-event
-// delta across the timed runs is charged per round.
+// trainer's workspace pool outside the timing loop, then the heap
+// allocations across the timed runs are charged per round.
 void run_trainer_bench(benchmark::State& state, const fl::TrainerOptions& topts,
                        std::size_t updates_per_activation) {
   const auto fed = synthetic_fed();
@@ -65,7 +65,7 @@ void run_trainer_bench(benchmark::State& state, const fl::TrainerOptions& topts,
   const fl::Trainer trainer(model, fed, topts);
   const opt::LocalSolver solver(model, solver_options());
   (void)trainer.run(solver, "warm");
-  const std::uint64_t heap_before = tensor::arena_heap_events();
+  const std::uint64_t heap_before = testing::heap_allocations();
   std::size_t runs = 0;
   for (auto _ : state) {
     const auto trace = trainer.run(solver, "bench");
@@ -80,7 +80,7 @@ void run_trainer_bench(benchmark::State& state, const fl::TrainerOptions& topts,
       activations * static_cast<double>(updates_per_activation),
       benchmark::Counter::kIsRate);
   state.counters["allocs_per_round"] =
-      static_cast<double>(tensor::arena_heap_events() - heap_before) / rounds;
+      static_cast<double>(testing::heap_allocations() - heap_before) / rounds;
 }
 
 // FedProxVR (Algorithm 1, kSvrg): the paper's main engine.
@@ -143,7 +143,7 @@ void BM_RoundSampledLargeFleet(benchmark::State& state) {
   const fl::Trainer trainer(model, fleet, topts);
   const opt::LocalSolver solver(model, solver_options());
   (void)trainer.run(solver, "warm");
-  const std::uint64_t heap_before = tensor::arena_heap_events();
+  const std::uint64_t heap_before = testing::heap_allocations();
   std::size_t runs = 0;
   for (auto _ : state) {
     const auto trace = trainer.run(solver, "bench");
@@ -157,7 +157,7 @@ void BM_RoundSampledLargeFleet(benchmark::State& state) {
   state.counters["updates_per_second"] = benchmark::Counter(
       activations * static_cast<double>(kTau), benchmark::Counter::kIsRate);
   state.counters["allocs_per_round"] =
-      static_cast<double>(tensor::arena_heap_events() - heap_before) / rounds;
+      static_cast<double>(testing::heap_allocations() - heap_before) / rounds;
 }
 BENCHMARK(BM_RoundSampledLargeFleet)
     ->Unit(benchmark::kMillisecond)
@@ -177,7 +177,7 @@ void BM_RoundProxSkipVR(benchmark::State& state) {
   opts.batch_size = kBatch;
   opts.eval_every = opts.iterations;
   (void)core::run_proxskip_vr(model, fed, opts, "warm");
-  const std::uint64_t heap_before = tensor::arena_heap_events();
+  const std::uint64_t heap_before = testing::heap_allocations();
   std::size_t runs = 0;
   for (auto _ : state) {
     const auto trace = core::run_proxskip_vr(model, fed, opts, "bench");
@@ -191,7 +191,7 @@ void BM_RoundProxSkipVR(benchmark::State& state) {
   state.counters["updates_per_second"] =
       benchmark::Counter(activations, benchmark::Counter::kIsRate);
   state.counters["allocs_per_round"] =
-      static_cast<double>(tensor::arena_heap_events() - heap_before) / iters;
+      static_cast<double>(testing::heap_allocations() - heap_before) / iters;
 }
 BENCHMARK(BM_RoundProxSkipVR)
     ->Unit(benchmark::kMillisecond)

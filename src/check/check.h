@@ -72,6 +72,8 @@ bool set_enabled(bool on);
 [[nodiscard]] bool active();
 
 /// Index of the first NaN or ±Inf element, or `v.size()` when all finite.
+/// Scans 256-element blocks without a branch per element and rescans only
+/// a block that holds a non-finite value.
 [[nodiscard]] std::size_t first_non_finite(std::span<const double> v);
 
 [[nodiscard]] inline bool all_finite(std::span<const double> v) {
@@ -137,8 +139,11 @@ bool set_enabled(bool on);
     }                                                                        \
   } while (0)
 
-/// Numerical sanity: every element of a span must be finite. O(n) scan —
-/// this is the check that most needs the off switch.
+/// Numerical sanity: every element of a span must be finite; the message
+/// names the first bad element's index. An O(n) scan on every model
+/// gradient and on the solver's v^(t) and w^(t+1): first_non_finite takes
+/// about 2 us for the 784->10 model's 7,850 parameters on a 2.1 GHz Xeon
+/// (BM_FirstNonFinite/7850 in bench/micro_kernels).
 ///   FEDVR_CHECK_FINITE(grad, "layer gradient");
 #define FEDVR_CHECK_FINITE(values, what)                                     \
   do {                                                                       \

@@ -7,14 +7,25 @@
 namespace fedvr::data {
 
 Dataset Dataset::subset(std::span<const std::size_t> indices) const {
-  Dataset out(sample_shape_, indices.size(), num_classes_);
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    const std::size_t i = indices[k];
-    const auto src = sample(i);
-    std::copy(src.begin(), src.end(), out.mutable_sample(k).begin());
-    out.set_label(k, label(i));
-  }
+  Dataset out;
+  out.assign_rows(*this, indices);
   return out;
+}
+
+void Dataset::assign_rows(const Dataset& src,
+                          std::span<const std::size_t> indices) {
+  FEDVR_CHECK_MSG(&src != this, "assign_rows: source and destination alias");
+  sample_shape_ = src.sample_shape_;
+  num_classes_ = src.num_classes_;
+  const std::size_t dim = feature_dim();
+  features_.resize(indices.size() * dim);
+  labels_.resize(indices.size());
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    const auto row = src.sample(indices[k]);
+    std::copy(row.begin(), row.end(),
+              features_.begin() + static_cast<std::ptrdiff_t>(k * dim));
+    labels_[k] = src.labels_[indices[k]];
+  }
 }
 
 std::pair<Dataset, Dataset> Dataset::split(util::Rng& rng,

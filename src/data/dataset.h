@@ -48,6 +48,24 @@ class Dataset {
     return {features_.data() + i * feature_dim(), feature_dim()};
   }
 
+  /// Feature rows of samples [first, first + count) as one contiguous
+  /// (count x feature_dim()) span.
+  [[nodiscard]] std::span<const double> rows(std::size_t first,
+                                             std::size_t count) const {
+    FEDVR_CHECK_MSG(first <= size() && count <= size() - first,
+                    "rows [" << first << ", " << first + count
+                             << ") exceed " << size() << " samples");
+    return {features_.data() + first * feature_dim(), count * feature_dim()};
+  }
+  /// Labels of samples [first, first + count).
+  [[nodiscard]] std::span<const int> labels(std::size_t first,
+                                            std::size_t count) const {
+    FEDVR_CHECK_MSG(first <= size() && count <= size() - first,
+                    "labels [" << first << ", " << first + count
+                               << ") exceed " << size() << " samples");
+    return {labels_.data() + first, count};
+  }
+
   [[nodiscard]] int label(std::size_t i) const {
     FEDVR_CHECK_MSG(i < size(), "label index " << i << " >= " << size());
     return labels_[i];
@@ -62,6 +80,12 @@ class Dataset {
 
   /// New dataset containing the given samples (copies).
   [[nodiscard]] Dataset subset(std::span<const std::size_t> indices) const;
+
+  /// Replaces this dataset's contents with copies of `src`'s samples at
+  /// `indices`, in order, keeping this dataset's storage: once its
+  /// capacity covers the largest index set, a refill allocates nothing.
+  /// `src` must be another dataset.
+  void assign_rows(const Dataset& src, std::span<const std::size_t> indices);
 
   /// Splits into (train, test) with `train_fraction` of samples (shuffled by
   /// `rng`) going to train. The paper uses 75/25.

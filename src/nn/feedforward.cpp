@@ -46,21 +46,28 @@ void FeedForwardModel::initialize(util::Rng& rng, std::span<double> w) const {
   net_->init_params(rng, w);
 }
 
-void FeedForwardModel::gather(const data::Dataset& ds,
-                              std::span<const std::size_t> indices,
-                              std::vector<double>& xbuf,
-                              std::vector<int>& ybuf) const {
+FeedForwardModel::ChunkRows FeedForwardModel::chunk_rows(
+    const data::Dataset& ds, std::span<const std::size_t> indices,
+    std::vector<double>& xbuf, std::vector<int>& ybuf) const {
   const std::size_t dim = ds.feature_dim();
   FEDVR_CHECK_MSG(dim == net_->in_size(),
                   "dataset features (" << dim << ") do not match model input ("
                                        << net_->in_size() << ")");
-  xbuf.resize(indices.size() * dim);
-  ybuf.resize(indices.size());
-  for (std::size_t k = 0; k < indices.size(); ++k) {
+  const std::size_t count = indices.size();
+  std::size_t run = 1;
+  while (run < count && indices[run] == indices[0] + run) ++run;
+  if (run == count) {
+    return {ds.rows(indices[0], count), ds.labels(indices[0], count)};
+  }
+  xbuf.resize(count * dim);
+  ybuf.resize(count);
+  for (std::size_t k = 0; k < count; ++k) {
     const auto row = ds.sample(indices[k]);
-    std::copy(row.begin(), row.end(), xbuf.begin() + static_cast<std::ptrdiff_t>(k * dim));
+    std::copy(row.begin(), row.end(),
+              xbuf.begin() + static_cast<std::ptrdiff_t>(k * dim));
     ybuf[k] = ds.label(indices[k]);
   }
+  return {xbuf, ybuf};
 }
 
 double FeedForwardModel::loss(std::span<const double> w,
@@ -75,10 +82,11 @@ double FeedForwardModel::loss(std::span<const double> w,
   double weighted = 0.0;
   for (std::size_t start = 0; start < indices.size(); start += max_chunk_) {
     const std::size_t count = std::min(max_chunk_, indices.size() - start);
-    gather(ds, indices.subspan(start, count), xbuf, ybuf);
-    const auto logits = net_->forward(w, count, xbuf, ws, /*training=*/false);
+    const ChunkRows rows =
+        chunk_rows(ds, indices.subspan(start, count), xbuf, ybuf);
+    const auto logits = net_->forward(w, count, rows.x, ws, /*training=*/false);
     weighted += static_cast<double>(count) *
-                softmax_cross_entropy(count, net_->out_size(), logits, ybuf);
+                softmax_cross_entropy(count, net_->out_size(), logits, rows.y);
   }
   double value = weighted / static_cast<double>(indices.size());
   if (l2_reg_ > 0.0) value += 0.5 * l2_reg_ * tensor::nrm2_squared(w);
@@ -98,19 +106,30 @@ double FeedForwardModel::loss_and_gradient(
   std::vector<int>& ybuf = scratch.ybuf;
   std::vector<double>& d_logits = scratch.d_logits;
   std::vector<double>& chunk_grad = scratch.chunk_grad;
-  chunk_grad.resize(num_parameters());
+  // One chunk is the whole batch: its mean gradient is the result and the
+  // count/n rescale below would be exactly 1. Every layer accumulates into
+  // dw and, rounding to nearest, adding to +0.0 never yields -0.0, so
+  // backpropagating straight into the zeroed grad gives the bits of
+  // 0 + 1 * chunk.
+  const bool one_chunk = indices.size() <= max_chunk_;
+  if (!one_chunk) chunk_grad.resize(num_parameters());
   double weighted = 0.0;
   for (std::size_t start = 0; start < indices.size(); start += max_chunk_) {
     const std::size_t count = std::min(max_chunk_, indices.size() - start);
-    gather(ds, indices.subspan(start, count), xbuf, ybuf);
-    const auto logits = net_->forward(w, count, xbuf, ws, /*training=*/true);
+    const ChunkRows rows =
+        chunk_rows(ds, indices.subspan(start, count), xbuf, ybuf);
+    const auto logits = net_->forward(w, count, rows.x, ws, /*training=*/true);
     d_logits.resize(count * net_->out_size());
     const double chunk_loss = softmax_cross_entropy_backward(
-        count, net_->out_size(), logits, ybuf, d_logits);
+        count, net_->out_size(), logits, rows.y, d_logits);
     weighted += static_cast<double>(count) * chunk_loss;
+    if (one_chunk) {
+      net_->backward(w, count, rows.x, d_logits, grad, ws);
+      continue;
+    }
     // Chunk gradients are per-chunk means; rescale into a global mean.
     tensor::fill(chunk_grad, 0.0);
-    net_->backward(w, count, xbuf, d_logits, chunk_grad, ws);
+    net_->backward(w, count, rows.x, d_logits, chunk_grad, ws);
     tensor::axpy(static_cast<double>(count) /
                      static_cast<double>(indices.size()),
                  chunk_grad, grad);
@@ -138,8 +157,9 @@ void FeedForwardModel::predict(std::span<const double> w,
   std::vector<int>& ybuf = scratch.ybuf;
   for (std::size_t start = 0; start < indices.size(); start += max_chunk_) {
     const std::size_t count = std::min(max_chunk_, indices.size() - start);
-    gather(ds, indices.subspan(start, count), xbuf, ybuf);
-    const auto logits = net_->forward(w, count, xbuf, ws, /*training=*/false);
+    const ChunkRows rows =
+        chunk_rows(ds, indices.subspan(start, count), xbuf, ybuf);
+    const auto logits = net_->forward(w, count, rows.x, ws, /*training=*/false);
     tensor::argmax_rows(count, net_->out_size(), logits,
                         out.subspan(start, count));
   }

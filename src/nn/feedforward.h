@@ -13,8 +13,10 @@ class FeedForwardModel final : public Model {
  public:
   /// `l2_reg` adds (l2/2)||w||^2 to the loss (and l2*w to the gradient) —
   /// used to make the convex task strongly convex when desired.
-  /// `max_chunk` bounds the batch rows materialized at once so full-batch
-  /// gradient calls on large shards stay memory-bounded.
+  /// `max_chunk` bounds the batch rows evaluated at once so full-batch
+  /// gradient calls on large shards stay memory-bounded. A chunk whose
+  /// indices are one ascending contiguous run is read in place from the
+  /// dataset; any other chunk is gathered into a per-thread copy first.
   FeedForwardModel(std::shared_ptr<const Sequential> net, double l2_reg = 0.0,
                    std::size_t max_chunk = 64);
 
@@ -41,10 +43,18 @@ class FeedForwardModel final : public Model {
                std::span<std::size_t> out) const override;
 
  private:
-  // Gathers the feature rows for a chunk of indices into `xbuf` and the
-  // labels into `ybuf`.
-  void gather(const data::Dataset& ds, std::span<const std::size_t> indices,
-              std::vector<double>& xbuf, std::vector<int>& ybuf) const;
+  struct ChunkRows {
+    std::span<const double> x;  // count x in_size() features
+    std::span<const int> y;     // count labels
+  };
+
+  // The rows of one chunk of indices: the dataset's own storage when the
+  // indices form one ascending contiguous run, else copies gathered into
+  // `xbuf` and `ybuf`.
+  [[nodiscard]] ChunkRows chunk_rows(const data::Dataset& ds,
+                                     std::span<const std::size_t> indices,
+                                     std::vector<double>& xbuf,
+                                     std::vector<int>& ybuf) const;
 
   std::shared_ptr<const Sequential> net_;
   double l2_reg_;

@@ -140,11 +140,8 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
   // First prox step: w^(1) = prox(w^(0) - eta_0 v^(0)).
   std::vector<double>& w_curr = ws.w_curr;
   w_curr.resize(dim);
-  std::vector<double>& step = ws.step;
-  step.resize(dim);
-  tensor::copy(w_prev, step);
-  tensor::axpy(-eta_at(0), v, step);
-  tensor::prox_quadratic(step, anchor, eta_at(0), options_.mu, w_curr);
+  tensor::prox_gradient_step(w_prev, v, anchor, eta_at(0), options_.mu,
+                             w_curr);
 
   // Scratch for the estimator updates.
   std::vector<double>& grad_curr = ws.grad_curr;
@@ -160,6 +157,14 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
   BatchSampler sampler(options_.sampling, n, options_.batch_size,
                        ws.permutation);
   std::vector<std::size_t>& batch = ws.batch;
+  // The two-point estimators evaluate one mini-batch twice: copy its rows
+  // once, in draw order, and hand the model the contiguous run 0..B-1 of
+  // the copy, which it reads in place.
+  data::Dataset& batch_rows = ws.batch_rows;
+  auto copy_batch_rows = [&] {
+    batch_rows.assign_rows(train, batch);
+    return std::span<const std::size_t>(full_idx).first(batch.size());
+  };
 
   // The eq. 11 stopping criterion, measured with a full local gradient:
   // ||grad J_n(w)|| <= theta ||grad F_n(anchor)||.
@@ -195,23 +200,22 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
       case Estimator::kSvrg: {
         // v_t = grad f_i(w_t) - grad f_i(w_0) + v_0   (eq. 8b)
         sampler.next(rng, batch);
-        (void)model_->loss_and_gradient(w_curr, train, batch, grad_curr);
-        (void)model_->loss_and_gradient(anchor_w, train, batch, grad_ref);
+        const auto rows = copy_batch_rows();
+        (void)model_->loss_and_gradient(w_curr, batch_rows, rows, grad_curr);
+        (void)model_->loss_and_gradient(anchor_w, batch_rows, rows, grad_ref);
         result.sample_gradient_evals += 2 * batch.size();
-        tensor::copy(grad_curr, v);
-        tensor::axpy(-1.0, grad_ref, v);
-        tensor::axpy(1.0, v0, v);
+        tensor::diff_plus(grad_curr, grad_ref, v0, v);
         break;
       }
       case Estimator::kSarah: {
         // v_t = grad f_i(w_t) - grad f_i(w_{t-1}) + v_{t-1}   (eq. 8a)
         sampler.next(rng, batch);
-        (void)model_->loss_and_gradient(w_curr, train, batch, grad_curr);
-        (void)model_->loss_and_gradient(w_prev, train, batch, grad_ref);
+        const auto rows = copy_batch_rows();
+        (void)model_->loss_and_gradient(w_curr, batch_rows, rows, grad_curr);
+        (void)model_->loss_and_gradient(w_prev, batch_rows, rows, grad_ref);
         result.sample_gradient_evals += 2 * batch.size();
         // v (currently v_{t-1}) += grad_curr - grad_ref.
-        tensor::axpy(1.0, grad_curr, v);
-        tensor::axpy(-1.0, grad_ref, v);
+        tensor::add_diff(grad_curr, grad_ref, v);
         break;
       }
       case Estimator::kFullGradient: {
@@ -225,11 +229,9 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
     // direction or the prox output; catch it at the iteration that made it.
     FEDVR_CHECK_FINITE(v, "estimator direction v^(t)");
     // Line 8: w^(t+1) = prox_{eta h_s}(w^(t) - eta v^(t)).
-    const double eta_t = eta_at(t);
-    tensor::copy(w_curr, step);
-    tensor::axpy(-eta_t, v, step);
     w_prev.swap(w_curr);  // w_prev now holds w^(t)
-    tensor::prox_quadratic(step, anchor, eta_t, options_.mu, w_curr);
+    tensor::prox_gradient_step(w_prev, v, anchor, eta_at(t), options_.mu,
+                               w_curr);
     FEDVR_CHECK_FINITE(w_curr, "local iterate w^(t+1)");
   }
 

@@ -7,16 +7,17 @@
 // R rounds x N devices pays R*N*10 heap round-trips that dwarf the actual
 // arithmetic for small models. A SolverWorkspace is acquired once per
 // device activation (via WorkspacePool when activations run on pool
-// threads) and its vectors keep their capacity, so steady-state rounds
-// perform no solver allocations at all — the property bench/micro_rounds
-// asserts through the tensor::arena_heap_events() counter and the
-// workspace tests assert directly.
+// threads) and its vectors keep their capacity, so a warm solve makes no
+// heap allocation at all — nn_alloc_test counts operator new around one,
+// and the workspace tests pin the buffer storage.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <mutex>
 #include <vector>
+
+#include "data/dataset.h"
 
 namespace fedvr::opt {
 
@@ -28,7 +29,6 @@ struct SolverWorkspace {
   // Inner-loop iterates and estimator directions (dim-sized).
   std::vector<double> w_prev;
   std::vector<double> w_curr;
-  std::vector<double> step;
   std::vector<double> v;
   std::vector<double> grad_curr;
   std::vector<double> grad_ref;
@@ -37,6 +37,10 @@ struct SolverWorkspace {
   std::vector<double> snapshot;  // kUniformRandom iterate snapshot
   std::vector<double> grad_j;    // full surrogate gradient (theta checks,
                                  // diagnostics)
+  // The drawn mini-batch's rows, copied once per SVRG/SARAH step so both
+  // gradient calls read them in place (Dataset::assign_rows reuses the
+  // storage).
+  data::Dataset batch_rows;
   // Index buffers.
   std::vector<std::size_t> batch;
   std::vector<std::size_t> full_idx;

@@ -100,21 +100,42 @@ double weighted_sum(std::span<const double> w, std::span<const double> v) {
   return dot(w, v);
 }
 
-void prox_quadratic(std::span<const double> x, std::span<const double> anchor,
-                    double eta, double mu, std::span<double> out) {
-  check_same_size(x, anchor);
+void diff_plus(std::span<const double> x, std::span<const double> y,
+               std::span<const double> z, std::span<double> out) {
+  check_same_size(x, y);
+  check_same_size(x, z);
   check_same_size(x, out);
+  const std::size_t n = x.size();
+  for (std::size_t i = 0; i < n; ++i) out[i] = (x[i] - y[i]) + z[i];
+}
+
+void add_diff(std::span<const double> x, std::span<const double> y,
+              std::span<double> acc) {
+  check_same_size(x, y);
+  check_same_size(x, acc);
+  const std::size_t n = x.size();
+  for (std::size_t i = 0; i < n; ++i) acc[i] = (acc[i] + x[i]) - y[i];
+}
+
+void prox_gradient_step(std::span<const double> w, std::span<const double> v,
+                        std::span<const double> anchor, double eta, double mu,
+                        std::span<double> out) {
+  check_same_size(w, v);
+  check_same_size(w, anchor);
+  check_same_size(w, out);
   FEDVR_CHECK_MSG(eta > 0.0, "prox step eta must be positive, got " << eta);
   FEDVR_CHECK_MSG(mu >= 0.0, "penalty mu must be nonnegative, got " << mu);
-  // prox_{eta h}(x) = argmin_w (mu/2)||w-anchor||^2 + (1/2 eta)||w-x||^2
+  // prox_{eta h}(x) = argmin_u (mu/2)||u-anchor||^2 + (1/2 eta)||u-x||^2
   //                 = (mu*eta*anchor + x) / (1 + eta*mu),
-  // which is the paper's eq. (10) rearranged. mu = 0 reduces to identity.
+  // which is the paper's eq. (10) rearranged; mu = 0 reduces to identity.
+  // x = w + (-eta)*v is the gradient step, kept in a register.
+  const double neg_eta = -eta;
   const double denom = 1.0 + eta * mu;
   const double anchor_coef = eta * mu / denom;
   const double x_coef = 1.0 / denom;
-  const std::size_t n = x.size();
+  const std::size_t n = w.size();
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = anchor_coef * anchor[i] + x_coef * x[i];
+    out[i] = anchor_coef * anchor[i] + x_coef * (w[i] + neg_eta * v[i]);
   }
 }
 

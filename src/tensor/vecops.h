@@ -78,9 +78,23 @@ void accumulate_weighted(double w, std::span<const double> x,
 [[nodiscard]] double weighted_sum(std::span<const double> w,
                                   std::span<const double> v);
 
-/// The closed-form proximal operator of h_s(w) = (mu/2)||w - anchor||^2 with
-/// step eta (paper eq. (10)):  prox(x) = (eta / (1 + eta*mu)) * (mu*anchor + x/eta).
-void prox_quadratic(std::span<const double> x, std::span<const double> anchor,
-                    double eta, double mu, std::span<double> out);
+/// out = (x - y) + z in one pass: the SVRG direction
+/// v_t = grad f_i(w_t) - grad f_i(w_0) + v_0 (paper eq. (8b)).
+void diff_plus(std::span<const double> x, std::span<const double> y,
+               std::span<const double> z, std::span<double> out);
+
+/// acc = (acc + x) - y in one pass: the SARAH update
+/// v_t = v_{t-1} + grad f_i(w_t) - grad f_i(w_{t-1}) (paper eq. (8a)).
+void add_diff(std::span<const double> x, std::span<const double> y,
+              std::span<double> acc);
+
+/// One proximal gradient step with the closed-form prox of
+/// h_s(w) = (mu/2)||w - anchor||^2 (paper eq. (10)), in one pass:
+///   out = prox_{eta h}(w - eta v)
+///       = (eta*mu / (1 + eta*mu)) anchor + (1 / (1 + eta*mu)) (w - eta v).
+/// v = 0 gives the bare prox of w. out may alias w or v.
+void prox_gradient_step(std::span<const double> w, std::span<const double> v,
+                        std::span<const double> anchor, double eta, double mu,
+                        std::span<double> out);
 
 }  // namespace fedvr::tensor

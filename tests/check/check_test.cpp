@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "data/dataset.h"
@@ -174,6 +177,119 @@ TEST(Check, FirstNonFiniteFindsEarliestOffender) {
       1.0, std::numeric_limits<double>::infinity(), std::nan("")};
   EXPECT_EQ(first_non_finite(dirty), 1U);
   EXPECT_FALSE(all_finite(dirty));
+}
+
+// The scan checks 256-element blocks branch-free and rescans only a
+// flagged block; it must still agree with a plain std::isfinite loop.
+
+double from_bits(std::uint64_t b) {
+  double x = 0.0;
+  std::memcpy(&x, &b, sizeof x);
+  return x;
+}
+
+std::size_t scalar_first_non_finite(const std::vector<double>& v) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (!std::isfinite(v[i])) return i;
+  }
+  return v.size();
+}
+
+// Quiet and signalling NaNs of both signs (with low and full payloads) and
+// both infinities.
+const std::vector<double>& non_finite_values() {
+  static const std::vector<double> values = {
+      from_bits(0x7FF8000000000000ULL), from_bits(0xFFF8000000000000ULL),
+      from_bits(0x7FF0000000000001ULL), from_bits(0xFFF0000000000001ULL),
+      from_bits(0x7FFFFFFFFFFFFFFFULL), from_bits(0xFFFFFFFFFFFFFFFFULL),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  return values;
+}
+
+// Finite values from every exponent range, including the extremes.
+std::vector<double> clean_vector(std::size_t n) {
+  const double extremes[] = {std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min(),
+                             -0.0,
+                             0.0,
+                             1.0};
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = i % 3 == 0 ? extremes[(i / 3) % 8]
+                      : std::ldexp(1.0 + static_cast<double>(i % 97) / 97.0,
+                                   static_cast<int>(i % 2045) - 1022) *
+                            (i % 2 == 0 ? 1.0 : -1.0);
+  }
+  return v;
+}
+
+TEST(Check, FirstNonFiniteMatchesScalarLoopAtEveryPosition) {
+  for (const std::size_t n : {0, 1, 255, 256, 257, 513, 7850}) {
+    std::vector<double> v = clean_vector(n);
+    ASSERT_EQ(first_non_finite(v), n);
+    for (const double bad : non_finite_values()) {
+      std::size_t mismatches = 0;
+      for (std::size_t pos = 0; pos < n; ++pos) {
+        const double keep = v[pos];
+        v[pos] = bad;
+        const std::size_t got = first_non_finite(v);
+        mismatches += (got != pos || got != scalar_first_non_finite(v));
+        v[pos] = keep;
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " value=" << bad;
+    }
+  }
+}
+
+TEST(Check, FirstNonFiniteReturnsTheFirstOfSeveral) {
+  std::vector<double> v = clean_vector(1000);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  v[900] = nan;
+  v[700] = -inf;  // a later block, after clean blocks
+  EXPECT_EQ(first_non_finite(v), 700u);
+  v[301] = inf;
+  v[300] = nan;  // two in one block
+  EXPECT_EQ(first_non_finite(v), 300u);
+  v[5] = -nan;
+  EXPECT_EQ(first_non_finite(v), 5u);
+  EXPECT_FALSE(all_finite(v));
+}
+
+TEST(Check, FirstNonFiniteNeverFlagsExtremeFiniteValues) {
+  const double values[] = {std::numeric_limits<double>::max(),
+                           -std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           -0.0};
+  for (const double x : values) {
+    for (const std::size_t n : {1, 7, 256, 513}) {
+      const std::vector<double> v(n, x);
+      EXPECT_EQ(first_non_finite(v), n) << x;
+      EXPECT_TRUE(all_finite(v)) << x;
+    }
+  }
+  EXPECT_TRUE(all_finite(clean_vector(7850)));
+}
+
+TEST(Check, FiniteMessageNamesAnIndexPastTheFirstBlock) {
+  if (!kCompiledIn) GTEST_SKIP() << "checks compiled out";
+  ScopedChecks on(true);
+  std::vector<double> v = clean_vector(7850);
+  v[7001] = from_bits(0xFFF0000000000001ULL);
+  v[6000] = std::numeric_limits<double>::infinity();
+  try {
+    FEDVR_CHECK_FINITE(std::span<const double>(v), "long vector");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("element 6000 is inf"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

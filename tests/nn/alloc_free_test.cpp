@@ -1,104 +1,29 @@
-// Steady-state heap-allocation regression test for the model gradient path.
+// Steady-state heap-allocation regression test for the model gradient path
+// and the local solve around it.
 //
-// This binary replaces the global operator new / delete with counting
-// versions, so it is kept apart from every other suite. Each case warms a
-// model on a fresh pool worker (where the kernels' parallel_for runs
-// inline, as inside a device's local solve) and asserts that the third
-// loss_and_gradient on the same batch makes no heap allocation at all.
+// This binary links the counting operator new / delete of
+// testing/alloc_counter.cpp, so it is kept apart from every other suite.
+// Each case warms a model or a solver on a fresh pool worker (where the
+// kernels' parallel_for runs inline, as inside a device's local solve) and
+// asserts that the third call makes no heap allocation at all.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "data/dataset.h"
 #include "nn/models.h"
+#include "opt/local_solver.h"
+#include "testing/alloc_counter.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_malloc(std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-
-void* counted_aligned(std::size_t n, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(align);
-  // aligned_alloc wants a size that is a multiple of the alignment.
-  return std::aligned_alloc(a, ((n == 0 ? 1 : n) + a - 1) / a * a);
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (void* p = counted_malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  if (void* p = counted_malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_malloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_malloc(n);
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  if (void* p = counted_aligned(n, a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  if (void* p = counted_aligned(n, a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, std::align_val_t a,
-                   const std::nothrow_t&) noexcept {
-  return counted_aligned(n, a);
-}
-void* operator new[](std::size_t n, std::align_val_t a,
-                     const std::nothrow_t&) noexcept {
-  return counted_aligned(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t,
-                     const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace fedvr::nn {
 namespace {
 
-std::uint64_t allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
+std::uint64_t allocations() { return testing::heap_allocations(); }
 
 data::Dataset random_dataset(tensor::Shape shape, std::size_t n,
                              std::size_t classes, util::Rng& rng) {
@@ -165,6 +90,48 @@ TEST(AllocFree, SmallCnnGradient) {
   cfg.conv1_channels = 4;
   cfg.conv2_channels = 8;
   EXPECT_EQ(third_call_allocations(*make_two_layer_cnn(cfg), ds, 8), 0u);
+}
+
+// Heap allocations made by the third LocalSolver::solve on one warm
+// SolverWorkspace, run on a pool worker.
+std::uint64_t third_solve_allocations(std::size_t dim, std::size_t batch,
+                                      opt::Estimator estimator) {
+  util::Rng rng(31);
+  const auto ds = random_dataset(tensor::Shape({dim}), 270, 10, rng);
+  const auto model = make_logistic_regression(dim, 10);
+  opt::LocalSolverOptions opts;
+  opts.estimator = estimator;
+  opts.tau = 20;
+  opts.eta = 0.01;
+  opts.mu = 0.1;
+  opts.batch_size = batch;
+  const opt::LocalSolver solver(model, opts);
+  std::vector<double> anchor(model->num_parameters());
+  model->initialize(rng, anchor);
+  util::ThreadPool pool(1);
+  return pool
+      .submit([&] {
+        opt::SolverWorkspace ws;
+        std::vector<double> w_out;
+        util::Rng draws(41);
+        for (int warm = 0; warm < 2; ++warm) {
+          (void)solver.solve(ds, anchor, draws, ws, w_out);
+        }
+        const std::uint64_t before = allocations();
+        (void)solver.solve(ds, anchor, draws, ws, w_out);
+        return allocations() - before;
+      })
+      .get();
+}
+
+TEST(AllocFree, WarmSvrgSolve) {
+  EXPECT_EQ(third_solve_allocations(784, 32, opt::Estimator::kSvrg), 0u);
+  EXPECT_EQ(third_solve_allocations(60, 8, opt::Estimator::kSvrg), 0u);
+}
+
+TEST(AllocFree, WarmSarahSolve) {
+  EXPECT_EQ(third_solve_allocations(784, 32, opt::Estimator::kSarah), 0u);
+  EXPECT_EQ(third_solve_allocations(60, 8, opt::Estimator::kSarah), 0u);
 }
 
 }  // namespace

@@ -211,12 +211,14 @@ TEST(SolverWorkspaceSolve, WarmSolvesReuseBufferStorage) {
     (void)solver.solve(ds, anchor, rng, ws, w_out);
   }
   const auto storage = [&] {
+    const std::size_t rows = ws.batch_rows.size();
     return std::multiset<const void*>{
-        ws.w_prev.data(),   ws.w_curr.data(),   ws.step.data(),
-        ws.v.data(),        ws.grad_curr.data(), ws.grad_ref.data(),
-        ws.v0.data(),       ws.anchor_w.data(), ws.snapshot.data(),
-        ws.grad_j.data(),   ws.batch.data(),    ws.full_idx.data(),
-        ws.permutation.data(), w_out.data()};
+        ws.w_prev.data(),   ws.w_curr.data(),    ws.v.data(),
+        ws.grad_curr.data(), ws.grad_ref.data(), ws.v0.data(),
+        ws.anchor_w.data(), ws.snapshot.data(),  ws.grad_j.data(),
+        ws.batch.data(),    ws.full_idx.data(),  ws.permutation.data(),
+        ws.batch_rows.rows(0, rows).data(),
+        ws.batch_rows.labels(0, rows).data(), w_out.data()};
   };
   const auto warm_storage = storage();
   for (int round = 0; round < 10; ++round) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "util/error.h"
@@ -125,13 +128,19 @@ TEST(Vecops, AccumulateWeightedIsWeightedSum) {
   EXPECT_DOUBLE_EQ(acc[1], 0.25 + 3.75);
 }
 
-// --- prox_quadratic: the paper's eq. (10). ---
+// --- The eq. (10) prox: prox_gradient_step with a zero direction. ---
+
+void prox(std::span<const double> x, std::span<const double> anchor,
+          double eta, double mu, std::span<double> out) {
+  const std::vector<double> zero(x.size(), 0.0);
+  prox_gradient_step(x, zero, anchor, eta, mu, out);
+}
 
 TEST(Prox, MuZeroIsIdentity) {
   const std::vector<double> x = {1.5, -2.0};
   const std::vector<double> anchor = {0.0, 0.0};
   std::vector<double> out(2);
-  prox_quadratic(x, anchor, 0.1, 0.0, out);
+  prox(x, anchor, 0.1, 0.0, out);
   EXPECT_DOUBLE_EQ(out[0], 1.5);
   EXPECT_DOUBLE_EQ(out[1], -2.0);
 }
@@ -140,7 +149,7 @@ TEST(Prox, LargeMuPullsToAnchor) {
   const std::vector<double> x = {10.0};
   const std::vector<double> anchor = {2.0};
   std::vector<double> out(1);
-  prox_quadratic(x, anchor, 1.0, 1e9, out);
+  prox(x, anchor, 1.0, 1e9, out);
   EXPECT_NEAR(out[0], 2.0, 1e-6);
 }
 
@@ -152,7 +161,7 @@ TEST(Prox, MatchesArgminDefinition) {
   std::vector<double> x(8), anchor(8), out(8);
   for (auto& v : x) v = rng.normal();
   for (auto& v : anchor) v = rng.normal();
-  prox_quadratic(x, anchor, eta, mu, out);
+  prox(x, anchor, eta, mu, out);
   for (std::size_t i = 0; i < out.size(); ++i) {
     const double foc = mu * (out[i] - anchor[i]) + (out[i] - x[i]) / eta;
     EXPECT_NEAR(foc, 0.0, 1e-10);
@@ -165,7 +174,7 @@ TEST(Prox, MatchesPaperClosedFormEq10) {
   const std::vector<double> x = {0.7};
   const std::vector<double> anchor = {-0.3};
   std::vector<double> out(1);
-  prox_quadratic(x, anchor, eta, mu, out);
+  prox(x, anchor, eta, mu, out);
   const double expected = eta / (1.0 + eta * mu) * (mu * -0.3 + 0.7 / eta);
   EXPECT_NEAR(out[0], expected, 1e-14);
 }
@@ -177,8 +186,8 @@ TEST(Prox, IsNonExpansive) {
   for (auto& v : x) v = rng.normal();
   for (auto& v : y) v = rng.normal();
   for (auto& v : anchor) v = rng.normal();
-  prox_quadratic(x, anchor, 0.3, 4.0, px);
-  prox_quadratic(y, anchor, 0.3, 4.0, py);
+  prox(x, anchor, 0.3, 4.0, px);
+  prox(y, anchor, 0.3, 4.0, py);
   EXPECT_LE(std::sqrt(squared_distance(px, py)),
             std::sqrt(squared_distance(x, y)) + 1e-12);
 }
@@ -187,9 +196,96 @@ TEST(Prox, InvalidParamsThrow) {
   const std::vector<double> x = {1.0};
   const std::vector<double> anchor = {0.0};
   std::vector<double> out(1);
-  EXPECT_THROW(prox_quadratic(x, anchor, 0.0, 1.0, out), Error);
-  EXPECT_THROW(prox_quadratic(x, anchor, -0.1, 1.0, out), Error);
-  EXPECT_THROW(prox_quadratic(x, anchor, 0.1, -1.0, out), Error);
+  EXPECT_THROW(prox(x, anchor, 0.0, 1.0, out), Error);
+  EXPECT_THROW(prox(x, anchor, -0.1, 1.0, out), Error);
+  EXPECT_THROW(prox(x, anchor, 0.1, -1.0, out), Error);
+}
+
+// --- The solver's one-pass updates keep the bits of the multi-pass
+// sequences they replaced. ---
+
+std::uint64_t bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+// Normal draws with exact and signed zeros mixed in.
+std::vector<double> mixed_vector(std::size_t n, Rng& rng) {
+  std::vector<double> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = i % 7 == 0 ? 0.0 : i % 11 == 0 ? -0.0 : rng.normal();
+  }
+  return x;
+}
+
+TEST(FusedPasses, DiffPlusMatchesCopyAxpyAxpy) {
+  Rng rng(11);
+  const auto g = mixed_vector(257, rng);
+  const auto g_ref = mixed_vector(257, rng);
+  const auto v0 = mixed_vector(257, rng);
+  std::vector<double> want(g.size());
+  copy(g, want);
+  axpy(-1.0, g_ref, want);
+  axpy(1.0, v0, want);
+  std::vector<double> got(g.size(), 7.0);
+  diff_plus(g, g_ref, v0, got);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(bits(got[i]), bits(want[i])) << i;
+  }
+}
+
+TEST(FusedPasses, AddDiffMatchesAxpyAxpy) {
+  Rng rng(12);
+  const auto g = mixed_vector(257, rng);
+  const auto g_ref = mixed_vector(257, rng);
+  const auto v = mixed_vector(257, rng);
+  std::vector<double> want = v;
+  axpy(1.0, g, want);
+  axpy(-1.0, g_ref, want);
+  std::vector<double> got = v;
+  add_diff(g, g_ref, got);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(bits(got[i]), bits(want[i])) << i;
+  }
+}
+
+TEST(FusedPasses, ProxGradientStepMatchesCopyAxpyProx) {
+  Rng rng(13);
+  const auto w = mixed_vector(257, rng);
+  const auto v = mixed_vector(257, rng);
+  const auto anchor = mixed_vector(257, rng);
+  for (const double eta : {0.3, 0.05 / 1.6, 1.0}) {
+    for (const double mu : {0.0, 0.1, 2.5}) {
+      // The sequence the solver ran before: step = w; step += -eta v; then
+      // (eta mu / (1 + eta mu)) anchor + (1 / (1 + eta mu)) step.
+      std::vector<double> step(w.size());
+      copy(w, step);
+      axpy(-eta, v, step);
+      const double denom = 1.0 + eta * mu;
+      const double anchor_coef = eta * mu / denom;
+      const double x_coef = 1.0 / denom;
+      std::vector<double> got(w.size());
+      prox_gradient_step(w, v, anchor, eta, mu, got);
+      std::vector<double> in_place = w;  // out aliasing w
+      prox_gradient_step(in_place, v, anchor, eta, mu, in_place);
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        const double want = anchor_coef * anchor[i] + x_coef * step[i];
+        EXPECT_EQ(bits(got[i]), bits(want)) << eta << " " << mu << " " << i;
+        EXPECT_EQ(bits(in_place[i]), bits(want))
+            << eta << " " << mu << " " << i;
+      }
+    }
+  }
+}
+
+TEST(FusedPasses, SizeMismatchThrows) {
+  const std::vector<double> a = {1, 2};
+  const std::vector<double> b = {1};
+  std::vector<double> out(2);
+  EXPECT_THROW(diff_plus(a, b, a, out), Error);
+  EXPECT_THROW(add_diff(a, b, out), Error);
+  EXPECT_THROW(prox_gradient_step(a, b, a, 0.1, 0.1, out), Error);
 }
 
 }  // namespace
