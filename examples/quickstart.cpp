@@ -8,11 +8,11 @@
 //
 // Walks through the whole public API: generate federated data, build a
 // model, estimate the smoothness constant, pick hyperparameters, run, and
-// inspect the trace. Passing --trace or --obs-metrics turns on the
-// fedvr::obs profiler: the run exports a Chrome trace_event file (load it
-// in chrome://tracing or https://ui.perfetto.dev) plus a metrics JSONL
-// snapshot, and prints the measured per-round delays next to the analytic
-// eq. 19 model.
+// inspect the trace. Passing --trace or --obs-metrics turns on fedvr::obs
+// and the round engine's phase clocks: the run exports a Chrome
+// trace_event file (load it in chrome://tracing or https://ui.perfetto.dev)
+// plus a metrics JSONL snapshot, and prints the measured per-round delays
+// next to the analytic eq. 19 model.
 #include <cstdio>
 
 #include "core/fedproxvr.h"

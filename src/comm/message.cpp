@@ -273,6 +273,16 @@ Message Message::from_bytes(std::vector<std::uint8_t> bytes) {
   const std::uint64_t dim = get_u64(bytes, kOffDim);
   const std::uint64_t count = get_u64(bytes, kOffCount);
   FEDVR_CHECK_MSG(dim > 0, "message dim must be positive");
+  // Every encoded value takes at least one byte, so a count beyond the
+  // bytes after the header is malformed. Checked before any size
+  // arithmetic: a header count near 2^64 would wrap wire_bytes() around to
+  // the buffer's real size.
+  FEDVR_CHECK_MSG(count <= bytes.size() - kHeaderBytes,
+                  "value count " << count << " exceeds the "
+                                 << bytes.size() - kHeaderBytes
+                                 << " bytes after the header");
+  FEDVR_CHECK_MSG(!sparse || dim <= std::numeric_limits<std::uint32_t>::max(),
+                  "sparse indices are u32; dim " << dim << " overflows");
   FEDVR_CHECK_MSG(sparse ? count <= dim : count == dim,
                   "bad value count " << count << " for dim " << dim);
   FEDVR_CHECK_MSG(bytes.size() == wire_bytes(dtype, dim, count, sparse),

@@ -49,10 +49,7 @@ double median_in_place(std::span<double> vals, std::size_t count) {
   return 0.5 * (vals[mid - 1] + vals[mid]);
 }
 
-/// The survivor-reweighted weighted average the trainer has always run:
-/// weight_sum accumulated in update order, then fill(0) + one
-/// accumulate_weighted per update in the same order. Any change to this
-/// sequence of operations breaks the bit-identity of pre-seam traces.
+/// The survivor-reweighted weighted average the trainer has always run.
 class MeanAggregator final : public Aggregator {
  public:
   [[nodiscard]] std::string_view name() const override { return "mean"; }
@@ -61,12 +58,7 @@ class MeanAggregator final : public Aggregator {
                  std::span<const std::span<const double>> updates,
                  std::span<const double> weights,
                  std::span<double> out) const override {
-    double weight_sum = 0.0;
-    for (double w : weights) weight_sum += w;
-    tensor::fill(out, 0.0);
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      tensor::accumulate_weighted(weights[i] / weight_sum, updates[i], out);
-    }
+    weighted_mean(updates, weights, out);
   }
 };
 
@@ -200,6 +192,16 @@ constexpr std::array<std::string_view, 4> kAggregatorNames = {
     "mean", "median", "trimmed_mean", "norm_clip"};
 
 }  // namespace
+
+void weighted_mean(std::span<const std::span<const double>> updates,
+                   std::span<const double> weights, std::span<double> out) {
+  double weight_sum = 0.0;
+  for (double w : weights) weight_sum += w;
+  tensor::fill(out, 0.0);
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    tensor::accumulate_weighted(weights[i] / weight_sum, updates[i], out);
+  }
+}
 
 void DefenseOptions::validate() const {
   FEDVR_CHECK_MSG(std::isfinite(update_norm_bound) && update_norm_bound >= 0.0,

@@ -77,6 +77,15 @@ class Aggregator {
                          std::span<double> out) const = 0;
 };
 
+/// The survivor-reweighted weighted mean, out = Σ_i (w_i / Σw)·u_i: Σw is
+/// accumulated in update order, then `out` is zero-filled and gets one
+/// accumulate_weighted per update, in the same order. The mean aggregator
+/// and the single-level tree (fl/hierarchy.h) both run exactly this, so
+/// their traces are bit-identical; any change to the sequence breaks the
+/// pinned hashes.
+void weighted_mean(std::span<const std::span<const double>> updates,
+                   std::span<const double> weights, std::span<double> out);
+
 /// Builds an aggregator; validates `options` (always-on). The returned
 /// object is stateless and immutable — share it across trainers freely.
 [[nodiscard]] std::shared_ptr<const Aggregator> make_aggregator(

@@ -13,8 +13,8 @@ namespace {
 
 /// Weighted mean computed over an edge-aggregator tree. Every node holds an
 /// UNNORMALIZED partial sum Σ w_i·u_i plus its weight mass Σ w_i; the root
-/// divides once. The flat case bypasses all of that and replays the default
-/// MeanAggregator's exact operation sequence.
+/// divides once. The flat case bypasses all of that and runs
+/// fl::weighted_mean, as the default mean aggregator does.
 class TreeMeanAggregator final : public Aggregator {
  public:
   explicit TreeMeanAggregator(TreeAggregatorOptions options)
@@ -30,16 +30,10 @@ class TreeMeanAggregator final : public Aggregator {
     const std::size_t dim = out.size();
     const std::size_t fanout = options_.fanout;
     if (fanout == 0 || n <= fanout) {
-      // Single-level tree: the server is the only aggregator. This MUST
-      // stay the exact operation sequence of MeanAggregator (weight_sum in
-      // update order, fill(0), one accumulate_weighted per update) — the
-      // flat-tree ≡ legacy-mean hash-equality tests pin it.
-      double weight_sum = 0.0;
-      for (double w : weights) weight_sum += w;
-      tensor::fill(out, 0.0);
-      for (std::size_t i = 0; i < n; ++i) {
-        tensor::accumulate_weighted(weights[i] / weight_sum, updates[i], out);
-      }
+      // Single-level tree: the server is the only aggregator, and the
+      // result is the mean aggregator's to the last bit (the flat-tree ≡
+      // legacy-mean hash-equality tests pin it).
+      weighted_mean(updates, weights, out);
       return;
     }
 
@@ -48,14 +42,8 @@ class TreeMeanAggregator final : public Aggregator {
     std::size_t nodes = (n + fanout - 1) / fanout;
     std::vector<double> sums(nodes * dim);
     std::vector<double> masses(nodes);
-    const auto for_nodes = [&](std::size_t count, const auto& fn) {
-      if (options_.parallel && util::ThreadPool::global().size() > 1) {
-        util::ThreadPool::global().parallel_for(0, count, fn);
-      } else {
-        for (std::size_t b = 0; b < count; ++b) fn(b);
-      }
-    };
-    for_nodes(nodes, [&](std::size_t b) {
+    util::ThreadPool& pool = util::ThreadPool::global();
+    pool.parallel_for(0, nodes, [&](std::size_t b) {
       const std::size_t lo = b * fanout;
       const std::size_t hi = std::min(lo + fanout, n);
       const std::span<double> acc(sums.data() + b * dim, dim);
@@ -81,7 +69,7 @@ class TreeMeanAggregator final : public Aggregator {
       next_sums.resize(parents * dim);
       // lint:allow(no-alloc-in-hot-loop) shrink-only; capacity from the widest level
       next_masses.resize(parents);
-      for_nodes(parents, [&](std::size_t b) {
+      pool.parallel_for(0, parents, [&](std::size_t b) {
         const std::size_t lo = b * fanout;
         const std::size_t hi = std::min(lo + fanout, nodes);
         const std::span<double> acc(next_sums.data() + b * dim, dim);

@@ -15,8 +15,8 @@
 //     node→thread assignment varies with pool size, and nodes write
 //     disjoint output slots — so results are bit-identical across pool
 //     sizes 1/2/N;
-//   * a single-level tree (fanout == 0, or survivors ≤ fanout) runs the
-//     exact operation sequence of the default MeanAggregator, so flat
+//   * a single-level tree (fanout == 0, or survivors ≤ fanout) runs
+//     fl::weighted_mean, as the default mean aggregator does, so flat
 //     tree_mean traces are hash-identical to legacy weighted-mean traces
 //     (pinned by tests). Deeper trees associate the same weighted sum
 //     differently and produce different (equally valid) last-bit rounding.
@@ -34,8 +34,6 @@ struct TreeAggregatorOptions {
   /// tree, bit-identical to AggregatorKind::kMean); 1 is invalid (the tree
   /// would never contract). Production-shaped values: 16–64.
   std::size_t fanout = 32;
-  /// Merge the nodes of a level in parallel (bit-identical either way).
-  bool parallel = true;
 
   /// Always-on validation (util/error.h).
   void validate() const;

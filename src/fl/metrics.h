@@ -23,7 +23,7 @@ struct PhaseTimings {
 };
 
 /// Measured counterpart of the §4.3 analytic TimingModel, estimated from
-/// profiled rounds: d_com ≈ mean broadcast+aggregate seconds per round,
+/// observed rounds: d_com ≈ mean broadcast+aggregate seconds per round,
 /// d_cmp ≈ mean device solve seconds per inner iteration. Lets benches
 /// compare eq. 19's predicted round time against what actually happened.
 struct MeasuredTiming {
@@ -81,9 +81,9 @@ struct RoundMetrics {
                                              // (one device quarantined for 5
                                              // rounds counts 5)
 
-  /// Realized model time of THIS round (not cumulative), as
-  /// RoundSchedule::realized_round_time computes it: the last non-crashed
-  /// arrival, capped at round_deadline when one is set. Equals the analytic
+  /// Realized model time of THIS round (not cumulative), as the round
+  /// engine's schedule stage computes it: the last non-crashed arrival,
+  /// capped at round_deadline when one is set. Equals the analytic
   /// per-round eq. 19 time when faults are off.
   double realized_round_time = 0.0;
 

@@ -8,7 +8,7 @@
 // TimingModel, and a fault event scales its delays —
 //     t_n = d_com * com_multiplier + d_cmp * slowdown * tau
 // A round then lasts until the last non-crashed arrival, capped at
-// TrainerOptions::round_deadline (RoundSchedule::realized_round_time).
+// TrainerOptions::round_deadline (RoundMetrics::realized_round_time).
 //
 // Validation here is ALWAYS ON: these are once-per-round argument checks
 // via util/error.h's FEDVR_CHECK_MSG, which — unlike the compile-gated

@@ -1,16 +1,15 @@
 #include "fl/trainer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <limits>
 #include <numeric>
 #include <unordered_map>
 
 #include "check/check.h"
-#include "fl/event_engine.h"
 #include "obs/obs.h"
 #include "opt/workspace.h"
-#include "obs/profiler.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "tensor/vecops.h"
@@ -38,6 +37,25 @@ class ScopedObsEnable {
  private:
   bool active_;
   bool previous_;
+};
+
+// Adds the wall seconds of its scope to one phase of an observed run's
+// fl::PhaseTimings; does nothing when observability is off.
+class PhaseTimer {
+ public:
+  PhaseTimer(bool on, double& seconds)
+      : seconds_(on ? &seconds : nullptr), start_ns_(on ? obs::now_ns() : 0) {}
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
+  ~PhaseTimer() {
+    if (seconds_ != nullptr) {
+      *seconds_ += static_cast<double>(obs::now_ns() - start_ns_) / 1e9;
+    }
+  }
+
+ private:
+  double* seconds_;
+  std::uint64_t start_ns_;
 };
 
 /// Algorithm 1 (FedProxVR, and FedAvg/FedProx/GD through the solver
@@ -238,8 +256,7 @@ struct RunState {
         policy(policy_in),
         tau(tau_in),
         obs_on(options.observability.enabled),
-        channel(options.comm, fed_in.num_devices(), dim),
-        profiler(obs_on) {}
+        channel(options.comm, fed_in.num_devices(), dim) {}
 
   void select(std::size_t s);
   void schedule_round();
@@ -259,7 +276,12 @@ struct RunState {
   // all byte accounting is measured from serialized comm::Message sizes.
   // Per-run state (error-feedback residuals) lives here, keyed by device.
   comm::Channel channel;
-  obs::RoundProfiler profiler;
+  // Observed runs only: cumulative wall seconds per phase, and the device
+  // solves' wall nanoseconds and inner iterations (the measured d_cmp),
+  // which concurrent solves add to.
+  PhaseTimings phases;
+  std::atomic<std::uint64_t> solve_ns{0};
+  std::atomic<std::uint64_t> solve_iterations{0};
   // Solver workspaces, one per peak-concurrent local step.
   opt::WorkspacePool ws_pool;
   util::Stopwatch wall;
@@ -274,11 +296,11 @@ struct RunState {
   std::unordered_map<std::size_t, std::size_t> quarantined_until;
 
   // ---- this round ----
-  std::size_t round = 0;
+  std::size_t round = 0;  // also the number of rounds run so far
   bool communicates = true;
   std::vector<std::size_t> participants;  // ascending device ids
   std::vector<FaultEvent> events;         // slot-keyed
-  RoundSchedule schedule;                 // completion times, survivors
+  std::vector<std::size_t> survivors;     // slots whose upload arrives in time
   std::vector<std::size_t> working;       // slots that take a local step
   std::vector<std::size_t> uplinkers;     // survivor devices, for prepare()
   std::vector<std::vector<double>> uploads;  // slot-keyed
@@ -315,18 +337,30 @@ void RunState::select(std::size_t s) {
   }
 }
 
-/// Stage 2: the round as a discrete-event schedule, then the fault
-/// counters. Fault events are a pure function of (seed, device, round) —
-/// bit-identical across pool sizes — and completion timestamps are model
-/// time, so arrival order, survivors and the realized round time are all
-/// known before any device runs.
+/// Stage 2: the round as a discrete-event schedule, in one pass over the
+/// participants, ascending. Fault events are a pure function of (seed,
+/// device, round) — bit-identical across pool sizes — and completion
+/// timestamps are model time, so deadline misses, the survivors, the
+/// working slots and the realized round time are all known before any
+/// device runs. The fault counters are charged in the same pass.
 void RunState::schedule_round() {
   communicates = policy.communicates(round);
   const FaultModel& faults = options.faults;
   const bool faults_on = faults.enabled();
+  // Rounds that do not communicate have no deadline; +∞ stands for none.
+  const double deadline = communicates && options.round_deadline
+                              ? *options.round_deadline
+                              : std::numeric_limits<double>::infinity();
+  // When the server stops waiting: the last non-crashed arrival, capped at
+  // the deadline; 0 when nothing reports.
+  double round_time = 0.0;
   events.assign(participants.size(), FaultEvent{});
-  std::vector<ParticipantOutcome>& outcomes =
-      schedule.reset(participants.size());
+  // reserve() ahead of the loop: the push_backs below never reallocate
+  // once round capacity is warm.
+  survivors.clear();
+  survivors.reserve(participants.size());
+  working.clear();
+  working.reserve(participants.size());
   for (std::size_t k = 0; k < participants.size(); ++k) {
     const std::size_t device = participants[k];
     FaultEvent& event = events[k];
@@ -337,10 +371,12 @@ void RunState::schedule_round() {
       event.uplink_failed = false;
       event.corruption = CorruptionKind::kNone;
     }
-    ParticipantOutcome& oc = outcomes[k];
-    oc.device = device;
     if (event.dropped) {
-      oc.crashed = true;
+      // A crash is detected immediately (connection loss): the device
+      // computes nothing, transmits nothing and holds up nothing.
+      ++totals.dropped_devices;
+      OBS_SPAN("round.fault.dropout");
+      FEDVR_OBS_COUNT("fl.faults.dropout", 1);
       continue;
     }
     TimingModel timing = options.per_device_timing.empty()
@@ -354,32 +390,17 @@ void RunState::schedule_round() {
     }
     // eq. 19 per device: d_com·mult + d_cmp·slowdown·τ; a round that does
     // not communicate charges the compute term only.
-    oc.completion_time =
+    const double completion =
         communicates
             ? timing.round_time(
                   tau, event.slowdown,
                   event.com_multiplier(faults.config().retry_backoff))
             : timing.d_cmp * event.slowdown * static_cast<double>(tau);
-    oc.undelivered = event.uplink_failed;
-  }
-  schedule.build(communicates ? options.round_deadline : std::nullopt);
-  totals.realized_round_time = schedule.realized_round_time();
-
-  // Fault accounting + obs spans, ascending slot order, and the slots that
-  // take a local step: the survivors, or every non-crashed participant
-  // when the policy steps undelivered ones too.
-  working.clear();
-  for (std::size_t k = 0; k < participants.size(); ++k) {
-    const FaultEvent& event = events[k];
-    const ParticipantOutcome& oc = schedule.outcome(k);
-    if (oc.crashed) {
-      // A crash is detected immediately (connection loss): the device
-      // holds up neither the event queue nor the model.
-      ++totals.dropped_devices;
-      OBS_SPAN("round.fault.dropout");
-      FEDVR_OBS_COUNT("fl.faults.dropout", 1);
-      continue;
-    }
+    // A completion exactly at the deadline is on time. The server stops
+    // waiting at the deadline, however late the device would have been.
+    const bool missed = completion > deadline;
+    round_time = std::max(round_time, std::min(completion, deadline));
+    const bool delivered = !event.uplink_failed && !missed;
     if (event.straggler) {
       ++totals.straggler_devices;
       OBS_SPAN("round.fault.straggler");
@@ -390,7 +411,7 @@ void RunState::schedule_round() {
       OBS_SPAN("round.fault.uplink_retry");
       FEDVR_OBS_COUNT("fl.faults.uplink_retries", event.uplink_retries);
     }
-    if (oc.missed_deadline) {
+    if (missed) {
       ++totals.deadline_misses;
       OBS_SPAN("round.fault.deadline_miss");
       FEDVR_OBS_COUNT("fl.faults.deadline_misses", 1);
@@ -399,19 +420,25 @@ void RunState::schedule_round() {
       OBS_SPAN("round.fault.uplink_failed");
       FEDVR_OBS_COUNT("fl.faults.uplink_failed", 1);
     }
-    if (!oc.delivered()) {
+    if (!delivered) {
       // Computed and transmitted, never aggregated: undelivered, not
       // "dropped" — dropped counts crashes only (CSV schema v2).
       ++totals.undelivered_updates;
-    } else if (event.corrupted()) {
-      // Counted per delivered update: how many corrupted updates the
-      // server actually had to survive.
-      ++totals.corrupted_updates;
-      OBS_SPAN("round.fault.corrupt");
-      FEDVR_OBS_COUNT("fl.faults.corrupted_updates", 1);
+    } else {
+      survivors.push_back(k);
+      if (event.corrupted()) {
+        // Counted per delivered update: how many corrupted updates the
+        // server actually had to survive.
+        ++totals.corrupted_updates;
+        OBS_SPAN("round.fault.corrupt");
+        FEDVR_OBS_COUNT("fl.faults.corrupted_updates", 1);
+      }
     }
-    if (oc.delivered() || policy.steps_undelivered()) working.push_back(k);
+    // The survivors take a local step, and every non-crashed participant
+    // does when the policy steps undelivered ones too.
+    if (delivered || policy.steps_undelivered()) working.push_back(k);
   }
+  totals.realized_round_time = round_time;
 }
 
 /// Stage 3: every working slot's local step, device-parallel.
@@ -422,7 +449,7 @@ void RunState::local_work() {
     // Serial registration of this round's uplinkers' error-feedback slots:
     // the parallel section below must never mutate keyed channel state.
     uplinkers.clear();
-    for (const std::size_t k : schedule.survivors()) {
+    for (const std::size_t k : survivors) {
       uplinkers.push_back(participants[k]);
     }
     channel.prepare(uplinkers);
@@ -433,18 +460,18 @@ void RunState::local_work() {
     OBS_SPAN("device.solve");
     const std::uint64_t start = obs_on ? obs::now_ns() : 0;
     const opt::WorkspacePool::Lease lease(ws_pool);
-    steps[k] = policy.local_step(
-        LocalStep{.round = round,
-                  .device = device,
-                  .event = events[k],
-                  .uploads = communicates && schedule.outcome(k).delivered(),
-                  .channel = channel,
-                  .ws = *lease,
-                  .upload = uploads[k]});
+    steps[k] = policy.local_step(LocalStep{
+        .round = round,
+        .device = device,
+        .event = events[k],
+        .uploads = communicates &&
+                   std::binary_search(survivors.begin(), survivors.end(), k),
+        .channel = channel,
+        .ws = *lease,
+        .upload = uploads[k]});
     if (obs_on && steps[k].iterations > 0) {
-      profiler.record_device(
-          device, static_cast<double>(obs::now_ns() - start) / 1e9,
-          steps[k].iterations);
+      solve_ns += obs::now_ns() - start;
+      solve_iterations += steps[k].iterations;
     }
   };
   if (options.parallel && util::ThreadPool::global().size() > 1) {
@@ -462,7 +489,7 @@ void RunState::server_update() {
   update = policy.server_update(ServerRound{.round = round,
                                             .participants = participants,
                                             .events = events,
-                                            .survivors = schedule.survivors(),
+                                            .survivors = survivors,
                                             .uploads = uploads});
   for (const std::size_t k : update.rejected) {
     const std::size_t device = participants[k];
@@ -482,8 +509,8 @@ void RunState::server_update() {
 
 /// Stage 5: model time, gradient evaluations and wire bytes.
 void RunState::account() {
-  // The round costs model time until the server's event queue drains: the
-  // last non-crashed arrival, capped at the deadline.
+  // The round costs model time until the server stops waiting: the last
+  // non-crashed arrival, capped at the deadline.
   totals.model_time += totals.realized_round_time;
   for (const std::size_t k : working) {
     totals.sample_grad_evals += steps[k].grad_evals;
@@ -492,17 +519,17 @@ void RunState::account() {
   if (!communicates) return;
   // Wire accounting from serialized message sizes: one dense model frame
   // per device the server broadcast to, plus one (possibly compressed)
-  // update frame per transmission in the arrival queue — lost attempts and
-  // late arrivals still crossed the wire. Slots that uplinked through the
-  // channel are charged their realized frame size; transmissions whose
-  // payload was never materialized (lost attempts, stale replays, skipped
-  // encodes) are charged the a-priori size. Integer sums, so the queue
-  // order cannot perturb the totals.
+  // update frame per transmission of every non-crashed participant — lost
+  // attempts and late arrivals still crossed the wire. Slots that uplinked
+  // through the channel are charged their realized frame size;
+  // transmissions whose payload was never materialized (lost attempts,
+  // stale replays, skipped encodes) are charged the a-priori size.
   totals.downlink_bytes += update.broadcast * channel.downlink_wire_bytes();
   const std::size_t up_bytes_apriori = channel.uplink_wire_bytes();
-  for (const ArrivalEvent& ev : schedule.arrivals()) {
-    const std::size_t realized = steps[ev.slot].uplink_bytes;
-    totals.uplink_bytes += events[ev.slot].uplink_attempts() *
+  for (std::size_t k = 0; k < participants.size(); ++k) {
+    if (events[k].dropped) continue;
+    const std::size_t realized = steps[k].uplink_bytes;
+    totals.uplink_bytes += events[k].uplink_attempts() *
                            (realized > 0 ? realized : up_bytes_apriori);
   }
 }
@@ -513,7 +540,7 @@ bool RunState::record(std::size_t s) {
   RoundMetrics m = totals;
   m.round = s;
   {
-    obs::RoundProfiler::ScopedPhase phase(profiler, obs::Phase::kEval);
+    const PhaseTimer timer(obs_on, phases.eval);
     OBS_SPAN("round.eval");
     const std::span<const double> w = policy.eval_point();
     m.train_loss = trainer.global_loss(w);
@@ -525,14 +552,7 @@ bool RunState::record(std::size_t s) {
   }
   m.comm_bytes = m.uplink_bytes + m.downlink_bytes;
   m.wall_seconds = wall.seconds();
-  if (obs_on) {
-    const obs::PhaseTotals& phases = profiler.totals();
-    m.measured =
-        PhaseTimings{.broadcast = phases.phase(obs::Phase::kBroadcast),
-                     .local_solve = phases.phase(obs::Phase::kLocalSolve),
-                     .aggregate = phases.phase(obs::Phase::kAggregate),
-                     .eval = phases.phase(obs::Phase::kEval)};
-  }
+  if (obs_on) m.measured = phases;
   if (options.collect_theta) {
     double sum = 0.0;
     std::size_t count = 0;
@@ -559,9 +579,18 @@ TrainingTrace RunState::finish() {
   trace.final_parameters.assign(w.begin(), w.end());
   trace.final_param_hash = check::hash_span(trace.final_parameters);
   if (obs_on) {
-    const obs::TimingEstimate est = profiler.estimate();
-    if (est.valid()) {
-      trace.measured_timing = MeasuredTiming{est.d_com, est.d_cmp};
+    // The measured eq. 19 delays, from the rounds run (none when the run
+    // stopped at round 0). Eval is diagnostics, not round time, so d_com
+    // counts only the broadcast and aggregate phases.
+    if (round > 0) {
+      const std::uint64_t iterations = solve_iterations.load();
+      trace.measured_timing = MeasuredTiming{
+          .d_com = (phases.broadcast + phases.aggregate) /
+                   static_cast<double>(round),
+          .d_cmp = iterations > 0
+                       ? static_cast<double>(solve_ns.load()) / 1e9 /
+                             static_cast<double>(iterations)
+                       : 0.0};
     }
     const ObservabilityOptions& o = options.observability;
     if (!o.chrome_trace_path.empty()) {
@@ -752,35 +781,28 @@ TrainingTrace Trainer::run(RoundPolicy& policy, std::size_t timing_tau,
   // meets target_accuracy pays for no rounds at all.
   bool target_reached = options_.eval_initial && run.record(0);
   for (std::size_t s = 1; !target_reached && s <= options_.rounds; ++s) {
-    run.profiler.begin_round(s, fed_->num_devices());
+    OBS_SPAN("round");
     {
-      OBS_SPAN("round");
-      {
-        obs::RoundProfiler::ScopedPhase phase(run.profiler,
-                                              obs::Phase::kBroadcast);
-        OBS_SPAN("round.broadcast");
-        run.select(s);
-        run.schedule_round();
-      }
-      {
-        obs::RoundProfiler::ScopedPhase phase(run.profiler,
-                                              obs::Phase::kLocalSolve);
-        OBS_SPAN("round.local_solve");
-        run.local_work();
-      }
-      {
-        obs::RoundProfiler::ScopedPhase phase(run.profiler,
-                                              obs::Phase::kAggregate);
-        OBS_SPAN("round.aggregate");
-        run.server_update();
-        run.account();
-      }
-      if (s % options_.eval_every == 0 ||
-          (s == options_.rounds && options_.eval_final)) {
-        target_reached = run.record(s);
-      }
+      const PhaseTimer timer(run.obs_on, run.phases.broadcast);
+      OBS_SPAN("round.broadcast");
+      run.select(s);
+      run.schedule_round();
     }
-    run.profiler.end_round();
+    {
+      const PhaseTimer timer(run.obs_on, run.phases.local_solve);
+      OBS_SPAN("round.local_solve");
+      run.local_work();
+    }
+    {
+      const PhaseTimer timer(run.obs_on, run.phases.aggregate);
+      OBS_SPAN("round.aggregate");
+      run.server_update();
+      run.account();
+    }
+    if (s % options_.eval_every == 0 ||
+        (s == options_.rounds && options_.eval_final)) {
+      target_reached = run.record(s);
+    }
   }
   return run.finish();
 }

@@ -5,10 +5,11 @@
 //
 //   1. select     — all N devices, or m of them drawn by Floyd's algorithm
 //                   in O(m); quarantined devices are not scheduled;
-//   2. schedule   — per-participant fault events and eq. 19 completion
-//                   timestamps (fl/event_engine.h): deadline misses, the
-//                   survivor set and the realized round time, all before
-//                   any device runs; the fault counters are charged here;
+//   2. schedule   — one pass over the participants: each one's fault
+//                   event and eq. 19 completion timestamp, hence deadline
+//                   misses, the survivor set and the realized round time,
+//                   all before any device runs; the fault counters are
+//                   charged in the same pass;
 //   3. local work — every working participant's local step, in parallel
 //                   on the thread pool ("for n in N do in parallel"), its
 //                   upload sent through the run's comm::Channel;
@@ -56,7 +57,8 @@ namespace fedvr::fl {
 /// Run-scoped observability (fedvr::obs). Off by default: the null sink
 /// costs one relaxed atomic load per instrumentation site. When enabled,
 /// the run records phase/device trace spans, pool and solver counters, and
-/// fills RoundMetrics::measured + TrainingTrace::measured_timing.
+/// fills RoundMetrics::measured + TrainingTrace::measured_timing from the
+/// engine's phase clocks: a few scalars per run, whatever the fleet size.
 /// Collection is process-global while the run is active (the previous
 /// enable state is restored when run() returns).
 struct ObservabilityOptions {
@@ -121,7 +123,7 @@ struct TrainerOptions {
   std::optional<double> round_deadline;
   /// Parallel device execution. Deterministic either way.
   bool parallel = true;
-  /// Per-phase / per-device profiling + metrics collection (fedvr::obs).
+  /// Phase and device-solve timing + metrics collection (fedvr::obs).
   ObservabilityOptions observability;
 };
 
@@ -144,7 +146,7 @@ struct LocalStep {
 struct StepResult {
   std::size_t uplink_bytes = 0;  // realized frame size; 0 = a-priori size
   std::size_t grad_evals = 0;    // per-sample gradient evaluations
-  std::size_t iterations = 0;    // local iterations run (profiler input)
+  std::size_t iterations = 0;    // local iterations run (measured d_cmp)
   double theta = -1.0;           // measured θ (eq. 11); < 0 = not measured
 };
 

@@ -1,6 +1,6 @@
 // fedvr::obs — observability core: the global enable flag and the trace
 // clock shared by the metrics registry (registry.h), scoped spans (trace.h),
-// and the round profiler (profiler.h).
+// and the round engine's phase clocks (fl/trainer.cpp).
 //
 // Everything in this subsystem is off by default and near-free when off:
 // instrumentation sites guard on enabled(), a single relaxed atomic load.

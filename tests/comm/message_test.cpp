@@ -1,6 +1,7 @@
 // Wire-format round-trip properties: float64 is exact, float32 and
 // int8-block round-trip within documented error bounds, sparse sections
-// scatter back into place, and from_bytes() rejects malformed frames.
+// scatter back into place, and from_bytes() rejects malformed frames —
+// hand-picked ones, and a seeded mutation sweep over frames of every shape.
 #include "comm/message.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "util/error.h"
@@ -167,6 +170,182 @@ TEST(Message, FromBytesRejectsUnsortedSparseIndices) {
   EXPECT_THROW((void)Message::from_bytes(std::move(wire)), Error);
   EXPECT_THROW(
       (void)Message::encode_sparse(10, idx, vals, DType::kFloat64), Error);
+}
+
+void put_u64(std::vector<std::uint8_t>& bytes, std::size_t off,
+             std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+void put_u32(std::vector<std::uint8_t>& bytes, std::size_t off,
+             std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+std::vector<std::uint8_t> frame_bytes(const Message& msg) {
+  return {msg.bytes().begin(), msg.bytes().end()};
+}
+
+// `bytes` with the byte at `at` replaced by `value`.
+std::vector<std::uint8_t> with_byte(std::vector<std::uint8_t> bytes,
+                                    std::size_t at, std::uint8_t value) {
+  bytes.at(at) = value;
+  return bytes;
+}
+
+// Header offsets of dim and count (see the layout table in message.h).
+constexpr std::size_t kDimOffset = 8;
+constexpr std::size_t kCountOffset = 16;
+
+TEST(Message, FromBytesRejectsDenseCountThatWrapsTheSizeCheck) {
+  // A 48-byte dense float64 frame (three values) whose header claims
+  // dim = count = 2^61 + 3: 24 + 8·count wraps around 2^64 to exactly 48.
+  std::vector<std::uint8_t> wire = frame_bytes(
+      Message::encode_dense(random_values(3, 41), DType::kFloat64));
+  ASSERT_EQ(wire.size(), 48u);
+  const std::uint64_t count = (std::uint64_t{1} << 61) + 3;
+  put_u64(wire, kDimOffset, count);
+  put_u64(wire, kCountOffset, count);
+  EXPECT_THROW((void)Message::from_bytes(std::move(wire)), Error);
+}
+
+TEST(Message, FromBytesRejectsSparseCountThatWrapsTheSizeCheck) {
+  // A 48-byte sparse float64 frame (two indices, two values) whose header
+  // claims dim = 2^63 and count = 2^62 + 2: 24 + 12·count wraps to 48.
+  // The 24 bytes after the header read as six ascending indices, so an
+  // accepted frame's index check walks off the end of the buffer.
+  const std::vector<std::uint32_t> idx{3, 7};
+  std::vector<std::uint8_t> wire = frame_bytes(Message::encode_sparse(
+      10, idx, random_values(2, 43), DType::kFloat64));
+  ASSERT_EQ(wire.size(), 48u);
+  put_u64(wire, kDimOffset, std::uint64_t{1} << 63);
+  put_u64(wire, kCountOffset, (std::uint64_t{1} << 62) + 2);
+  for (std::uint32_t i = 0; i < 6; ++i) put_u32(wire, kHeaderBytes + 4 * i, i);
+  EXPECT_THROW((void)Message::from_bytes(std::move(wire)), Error);
+}
+
+TEST(Message, FromBytesRejectsSparseDimBeyondU32Indices) {
+  // encode_sparse refuses a dim its u32 indices cannot address; a received
+  // frame claiming one is rejected the same way.
+  const std::vector<std::uint32_t> idx{3, 7};
+  std::vector<std::uint8_t> wire = frame_bytes(Message::encode_sparse(
+      10, idx, random_values(2, 47), DType::kFloat32));
+  put_u64(wire, kDimOffset, std::uint64_t{1} << 32);
+  EXPECT_THROW((void)Message::from_bytes(std::move(wire)), Error);
+}
+
+// Parses one mutated frame. It must be rejected with util::Error, or
+// accepted as a frame exactly as long as its input that — when its dim is
+// small enough to allocate — decodes into a dim()-sized buffer. Any other
+// exception, or a crash under the sanitizers, fails the sweep. Returns
+// whether the frame was accepted.
+bool expect_rejected_or_sound(std::vector<std::uint8_t> bytes,
+                              const std::string& what) {
+  const std::size_t size = bytes.size();
+  std::optional<Message> msg;
+  try {
+    msg.emplace(Message::from_bytes(std::move(bytes)));
+  } catch (const Error&) {
+    return false;
+  }
+  EXPECT_EQ(msg->wire_size(), size) << what;
+  if (msg->dim() <= (std::size_t{1} << 16)) {
+    std::vector<double> out(msg->dim());
+    EXPECT_NO_THROW(msg->decode(out)) << what;
+  }
+  return true;
+}
+
+TEST(Message, FromBytesSurvivesSeededMutationSweep) {
+  std::vector<std::pair<std::string, Message>> frames;
+  const std::vector<std::uint32_t> idx{0, 2, 31, 32, 64, 99};
+  for (const DType dtype :
+       {DType::kFloat64, DType::kFloat32, DType::kInt8Block}) {
+    for (const std::size_t n : {1u, 33u, 70u}) {
+      frames.emplace_back(
+          "dense " + dtype_name(dtype) + " n=" + std::to_string(n),
+          Message::encode_dense(random_values(n, 100 + n), dtype));
+    }
+    frames.emplace_back(
+        "sparse " + dtype_name(dtype),
+        Message::encode_sparse(100, idx, random_values(idx.size(), 7),
+                               dtype));
+    frames.emplace_back("empty sparse " + dtype_name(dtype),
+                        Message::encode_sparse(100, {}, {}, dtype));
+  }
+
+  util::Rng rng(2024);
+  std::size_t accepted = 0;
+  const auto check = [&](std::vector<std::uint8_t> bytes,
+                         const std::string& what) {
+    if (expect_rejected_or_sound(std::move(bytes), what)) ++accepted;
+  };
+  for (const auto& frame : frames) {
+    const std::string& name = frame.first;
+    const Message& msg = frame.second;
+    const std::vector<std::uint8_t> good = frame_bytes(msg);
+    check(good, name + " unmutated");
+
+    // Truncation to every shorter length.
+    for (std::size_t len = 0; len < good.size(); ++len) {
+      check({good.begin(), good.begin() + static_cast<std::ptrdiff_t>(len)},
+            name + " truncated to " + std::to_string(len));
+    }
+
+    // Every single-bit flip in the header, and a sample in the payload.
+    const auto flip = [&](std::size_t bit) {
+      const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+      check(with_byte(good, bit / 8,
+                      static_cast<std::uint8_t>(good[bit / 8] ^ mask)),
+            name + " bit " + std::to_string(bit) + " flipped");
+    };
+    for (std::size_t bit = 0; bit < 8 * kHeaderBytes; ++bit) flip(bit);
+    const std::size_t payload_bits = 8 * (good.size() - kHeaderBytes);
+    for (int i = 0; i < 64 && payload_bits > 0; ++i) {
+      flip(8 * kHeaderBytes + rng() % payload_bits);
+    }
+
+    // dim and count rewritten to edge values, singly and together. The
+    // 2^61/2^62/2^63 + count values make 24 + c·count wrap around 2^64.
+    const std::uint64_t count = msg.count();
+    const std::uint64_t dim = msg.dim();
+    for (const std::uint64_t orig : {count, dim}) {
+      for (const std::uint64_t v :
+           {std::uint64_t{0}, std::uint64_t{1}, orig - 1, orig + 1,
+            std::uint64_t{1} << 32, (std::uint64_t{1} << 32) + orig,
+            (std::uint64_t{1} << 61) + orig, (std::uint64_t{1} << 61) + 3,
+            (std::uint64_t{1} << 62) + orig, (std::uint64_t{1} << 62) + 2,
+            std::uint64_t{1} << 63, (std::uint64_t{1} << 63) + orig,
+            ~std::uint64_t{0}}) {
+        const std::string value = std::to_string(v);
+        std::vector<std::uint8_t> bad = good;
+        put_u64(bad, kDimOffset, v);
+        check(bad, name + " dim=" + value);
+        put_u64(bad, kCountOffset, v);
+        check(bad, name + " dim=count=" + value);
+        bad = good;
+        put_u64(bad, kCountOffset, v);
+        check(bad, name + " count=" + value);
+      }
+    }
+
+    // Unknown dtype tags, and every flag byte.
+    for (unsigned tag = 3; tag <= 255; ++tag) {
+      EXPECT_FALSE(expect_rejected_or_sound(
+          with_byte(good, 3, static_cast<std::uint8_t>(tag)), name))
+          << name << " dtype tag " << tag << " accepted";
+    }
+    for (unsigned flags = 0; flags <= 255; ++flags) {
+      check(with_byte(good, 4, static_cast<std::uint8_t>(flags)),
+            name + " flags=" + std::to_string(flags));
+    }
+  }
+  // The sweep is not vacuous: payload flips, for one, parse and decode.
+  EXPECT_GT(accepted, frames.size());
 }
 
 TEST(Message, WireBytesFormulaMatchesSerializedSize) {

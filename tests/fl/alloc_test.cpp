@@ -1,0 +1,88 @@
+// Heap-volume regression test for an observed run of the round engine.
+//
+// This binary links the counting operator new / delete of
+// testing/alloc_counter.cpp, so it is kept apart from every other suite.
+// An observed run (observability on) times its phases and device solves in
+// a few scalars, so the bytes it allocates per round depend on the round's
+// participants, never on the fleet. The case runs a sampled round on a
+// 10⁶-device virtual fleet, where anything kept per fleet device per round
+// would cost megabytes.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+
+#include "data/federation.h"
+#include "fl/trainer.h"
+#include "testing/alloc_counter.h"
+#include "testing/quadratic_model.h"
+#include "util/thread_pool.h"
+
+namespace fedvr::fl {
+namespace {
+
+using fedvr::testing::quadratic_dataset;
+using fedvr::testing::QuadraticModel;
+
+constexpr std::size_t kDim = 5;
+constexpr std::size_t kFleet = 1'000'000;
+
+/// A quadratic fleet generated on demand: O(1) storage at any N.
+std::shared_ptr<data::VirtualFederation> virtual_quadratic_fleet() {
+  auto size_fn = [](std::size_t device) { return 8 + device % 5; };
+  auto gen = [](std::size_t device, std::size_t num_samples,
+                data::Dataset& out) {
+    out = quadratic_dataset(num_samples, kDim,
+                            static_cast<double>(device % 7), 0.3,
+                            900 + device);
+  };
+  data::Dataset pooled = quadratic_dataset(16, kDim, 3.0, 0.3, 424242);
+  return std::make_shared<data::VirtualFederation>(kFleet, size_fn, gen,
+                                                   std::move(pooled));
+}
+
+/// Bytes requested through operator new by one observed run of `rounds`
+/// sampled rounds with eval off, from Trainer::run's call to its return.
+std::int64_t observed_run_bytes(std::size_t rounds) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  opt::LocalSolverOptions o;
+  o.estimator = opt::Estimator::kFullGradient;
+  o.tau = 2;
+  o.eta = 0.2;
+  o.mu = 0.5;
+  const opt::LocalSolver solver(model, o);
+  TrainerOptions opts;
+  opts.rounds = rounds;
+  opts.seed = 17;
+  opts.devices_per_round = 8;
+  opts.eval_every = rounds + 1;  // global metrics are O(fleet): none
+  opts.eval_final = false;
+  opts.observability.enabled = true;
+  const Trainer trainer(model, virtual_quadratic_fleet(), opts);
+  const std::uint64_t before = testing::heap_bytes();
+  const TrainingTrace trace = trainer.run(solver, "observed");
+  const std::uint64_t bytes = testing::heap_bytes() - before;
+  EXPECT_TRUE(trace.rounds.empty());
+  EXPECT_TRUE(trace.measured_timing.has_value());
+  return static_cast<std::int64_t>(bytes);
+}
+
+TEST(FlAlloc, ObservedRunAllocatesPerRoundIndependentOfTheFleet) {
+  // A fixed pool, warmed by a first run: every worker's span ring buffer
+  // and every registry handle exist before the measured runs, so the
+  // difference below is what the ten extra rounds themselves allocate.
+  util::ThreadPool::reset_global(2);
+  (void)observed_run_bytes(12);
+  const std::int64_t short_run = observed_run_bytes(2);
+  const std::int64_t long_run = observed_run_bytes(12);
+  const double per_round = static_cast<double>(long_run - short_run) / 10.0;
+  // 16 bytes per fleet device per round would be 16 MB.
+  EXPECT_LT(per_round, 1024.0 * 1024.0)
+      << "an observed round allocated " << per_round << " bytes on a "
+      << kFleet << "-device fleet";
+  util::ThreadPool::reset_global(0);
+}
+
+}  // namespace
+}  // namespace fedvr::fl

@@ -1,7 +1,7 @@
 // Unit tests for the hierarchical (edge-aggregator tree) weighted mean:
 // the flat tree must be bit-identical to the default MeanAggregator, deeper
 // trees must agree to rounding, and results must not depend on the thread
-// pool size or the parallel toggle.
+// pool size.
 #include "fl/hierarchy.h"
 
 #include <gtest/gtest.h>
@@ -87,18 +87,17 @@ TEST(TreeAggregator, MultiLevelAgreesWithMeanToRounding) {
   }
 }
 
-TEST(TreeAggregator, ResultIndependentOfPoolSizeAndParallelToggle) {
+TEST(TreeAggregator, ResultIndependentOfPoolSize) {
   const std::size_t dim = 29;
   const std::size_t n = 200;
   const Updates u = random_updates(n, dim, 7);
-  const auto serial_tree = make_tree_aggregator({.fanout = 8,
-                                                 .parallel = false});
-  const auto parallel_tree = make_tree_aggregator({.fanout = 8,
-                                                   .parallel = true});
-  const auto reference = run(*serial_tree, u, dim);
-  for (const std::size_t threads : {1u, 2u, 0u}) {
+  const auto tree = make_tree_aggregator({.fanout = 8});
+  // A pool of one runs every node inline, serially ascending.
+  util::ThreadPool::reset_global(1);
+  const auto reference = run(*tree, u, dim);
+  for (const std::size_t threads : {2u, 3u, 0u}) {
     util::ThreadPool::reset_global(threads);
-    const auto got = run(*parallel_tree, u, dim);
+    const auto got = run(*tree, u, dim);
     for (std::size_t j = 0; j < dim; ++j) {
       EXPECT_EQ(reference[j], got[j]) << "threads=" << threads << " coord "
                                       << j;

@@ -7,6 +7,7 @@
 //     the exact pre-fault code path (hash-identical traces).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -286,6 +287,11 @@ TEST(TrainerFaults, DeadlineDegradesSlowDevicesOutOfAggregation) {
     EXPECT_DOUBLE_EQ(r.realized_round_time, 5.0);
   }
   EXPECT_NEAR(trace.back().model_time, 6.0 * 5.0, 1e-12);
+  // The late update still crossed the wire: both devices' uploads are
+  // charged every round, at the serialized dense-f64 message size.
+  const std::size_t msg =
+      comm::wire_bytes(comm::DType::kFloat64, kDim, kDim, /*sparse=*/false);
+  EXPECT_EQ(trace.back().uplink_bytes, 6u * 2u * msg);
 
   // With device 1 degraded out every round, the parameter sequence must be
   // bit-identical to training on device 0 alone (its survivor weight
@@ -302,6 +308,225 @@ TEST(TrainerFaults, DeadlineDegradesSlowDevicesOutOfAggregation) {
   for (std::size_t i = 0; i < trace.rounds.size(); ++i) {
     EXPECT_EQ(trace.rounds[i].param_hash, solo_trace.rounds[i].param_hash);
   }
+}
+
+TEST(TrainerFaults, CompletionExactlyAtTheDeadlineIsOnTime) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = small_fed(2);
+  TrainerOptions plain;
+  plain.rounds = 4;
+  plain.seed = 3;
+  plain.per_device_timing = {TimingModel{.d_com = 1.0, .d_cmp = 0.1},
+                             TimingModel{.d_com = 1.0, .d_cmp = 2.0}};
+  const std::size_t tau = 4;
+  TrainerOptions opts = plain;
+  // The slowest device completes exactly at the cutoff.
+  opts.round_deadline = opts.per_device_timing[1].round_time(tau);
+  const auto trace =
+      Trainer(model, fed, opts).run(gd_solver(model, tau), "at-deadline");
+  EXPECT_EQ(trace.back().deadline_misses, 0u);
+  EXPECT_EQ(trace.back().undelivered_updates, 0u);
+  for (const auto& r : trace.rounds) {
+    EXPECT_DOUBLE_EQ(r.realized_round_time, *opts.round_deadline);
+  }
+  // Both updates are aggregated every round, as with no deadline at all.
+  const auto free_run =
+      Trainer(model, fed, plain).run(gd_solver(model, tau), "no-deadline");
+  EXPECT_EQ(trace.final_param_hash, free_run.final_param_hash);
+}
+
+TEST(TrainerFaults, CrashedSlowDeviceNeverHoldsUpTheRound) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = small_fed(2);
+  TrainerOptions opts;
+  opts.rounds = 20;
+  opts.seed = 23;
+  // Device 1 is the slowest by far: whenever it reports, the round waits
+  // for it.
+  opts.per_device_timing = {TimingModel{.d_com = 1.0, .d_cmp = 0.1},
+                            TimingModel{.d_com = 1.0, .d_cmp = 2.0}};
+  FaultModelConfig cfg;
+  cfg.dropout_prob = 0.4;
+  opts.faults = FaultModel(cfg);
+  const std::size_t tau = 4;
+  const auto trace =
+      Trainer(model, fed, opts).run(gd_solver(model, tau), "crash");
+  ASSERT_EQ(trace.rounds.size(), opts.rounds);
+  std::size_t checked = 0;
+  for (const auto& r : trace.rounds) {
+    if (!opts.faults.sample(opts.seed, 1, r.round).dropped ||
+        opts.faults.sample(opts.seed, 0, r.round).dropped) {
+      continue;
+    }
+    // Device 1 crashed and device 0 did not: the round lasts exactly
+    // device 0's eq. 19 time.
+    EXPECT_DOUBLE_EQ(r.realized_round_time,
+                     opts.per_device_timing[0].round_time(tau))
+        << "round " << r.round;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(TrainerFaults, RealizedRoundTimeIsTheSlowestParticipant) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = small_fed(3);
+  TrainerOptions opts;
+  opts.rounds = 3;
+  // eq. 19 at tau = 4: 3.0, 4.0 and 2.5. The slowest device sits in the
+  // middle slot, so neither the first nor the last arrival sets the time.
+  opts.per_device_timing = {TimingModel{.d_com = 1.0, .d_cmp = 0.5},
+                            TimingModel{.d_com = 2.0, .d_cmp = 0.5},
+                            TimingModel{.d_com = 1.5, .d_cmp = 0.25}};
+  const std::size_t tau = 4;
+  const auto trace =
+      Trainer(model, fed, opts).run(gd_solver(model, tau), "slowest");
+  const double slowest = opts.per_device_timing[1].round_time(tau);
+  ASSERT_EQ(trace.rounds.size(), opts.rounds);
+  for (const auto& r : trace.rounds) {
+    EXPECT_DOUBLE_EQ(r.realized_round_time, slowest) << "round " << r.round;
+  }
+  EXPECT_NEAR(trace.back().model_time, 3.0 * slowest, 1e-12);
+}
+
+TEST(TrainerFaults, UndeliveredSlowDeviceStillHoldsUpTheRound) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = small_fed(2);
+  TrainerOptions opts;
+  opts.rounds = 20;
+  opts.seed = 29;
+  opts.per_device_timing = {TimingModel{.d_com = 1.0, .d_cmp = 0.1},
+                            TimingModel{.d_com = 1.0, .d_cmp = 2.0}};
+  FaultModelConfig cfg;
+  cfg.uplink_loss_prob = 0.5;
+  cfg.uplink_max_retries = 0;  // one lost attempt leaves it undelivered
+  opts.faults = FaultModel(cfg);
+  const std::size_t tau = 4;
+  const auto trace =
+      Trainer(model, fed, opts).run(gd_solver(model, tau), "lossy-slow");
+  ASSERT_EQ(trace.rounds.size(), opts.rounds);
+  const double slow = opts.per_device_timing[1].round_time(tau);
+  std::size_t failed = 0;
+  std::size_t slow_failed = 0;
+  for (const auto& r : trace.rounds) {
+    for (const std::size_t device : {0u, 1u}) {
+      if (opts.faults.sample(opts.seed, device, r.round).uplink_failed) {
+        ++failed;
+        if (device == 1) ++slow_failed;
+      }
+    }
+    // The slow device computed and transmitted, so the server waited for
+    // its transmission whether or not it got through.
+    EXPECT_DOUBLE_EQ(r.realized_round_time, slow) << "round " << r.round;
+  }
+  EXPECT_GT(slow_failed, 0u);
+  // ... but a failed uplink is never aggregated.
+  EXPECT_EQ(trace.back().undelivered_updates, failed);
+  EXPECT_EQ(trace.back().dropped_devices, 0u);
+}
+
+TEST(TrainerFaults, DeadlineSplitsEarlyOnTimeAndLateDevicesInOneRound) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = small_fed(3);
+  TrainerOptions opts;
+  opts.rounds = 4;
+  opts.seed = 5;
+  // eq. 19 at tau = 4: 1.4 (early), 5.0 (exactly at the cutoff), 9.0 (late).
+  opts.per_device_timing = {TimingModel{.d_com = 1.0, .d_cmp = 0.1},
+                            TimingModel{.d_com = 1.0, .d_cmp = 1.0},
+                            TimingModel{.d_com = 1.0, .d_cmp = 2.0}};
+  opts.round_deadline = 5.0;
+  const std::size_t tau = 4;
+  const auto trace =
+      Trainer(model, fed, opts).run(gd_solver(model, tau), "split");
+  ASSERT_EQ(trace.rounds.size(), opts.rounds);
+  for (const auto& r : trace.rounds) {
+    // Only the late device misses, once per round, and the server stops
+    // waiting at the cutoff.
+    EXPECT_EQ(r.deadline_misses, r.round);
+    EXPECT_EQ(r.undelivered_updates, r.round);
+    EXPECT_DOUBLE_EQ(r.realized_round_time, 5.0);
+  }
+  // All three uploads crossed the wire every round.
+  const std::size_t msg =
+      comm::wire_bytes(comm::DType::kFloat64, kDim, kDim, /*sparse=*/false);
+  EXPECT_EQ(trace.back().uplink_bytes, 4u * 3u * msg);
+
+  // The early and the on-time device are aggregated: the model follows
+  // training on those two alone, up to the rounding of the survivor weights.
+  data::FederatedDataset pair;
+  for (const std::size_t d : {0u, 1u}) {
+    pair.train.push_back(fed.train[d]);
+    pair.test.push_back(fed.test[d]);
+  }
+  TrainerOptions pair_opts;
+  pair_opts.rounds = 4;
+  pair_opts.seed = 5;
+  const auto pair_trace =
+      Trainer(model, pair, pair_opts).run(gd_solver(model, tau), "pair");
+  ASSERT_EQ(trace.final_parameters.size(), pair_trace.final_parameters.size());
+  for (std::size_t j = 0; j < trace.final_parameters.size(); ++j) {
+    EXPECT_NEAR(trace.final_parameters[j], pair_trace.final_parameters[j],
+                1e-12);
+  }
+}
+
+TEST(TrainerFaults, EveryRoundMatchesAScheduleOfItsOwnFaults) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = small_fed(5);
+  TrainerOptions opts;
+  opts.rounds = 12;
+  opts.seed = 41;
+  opts.per_device_timing = {TimingModel{.d_com = 1.0, .d_cmp = 0.1},
+                            TimingModel{.d_com = 1.0, .d_cmp = 0.3},
+                            TimingModel{.d_com = 1.0, .d_cmp = 0.5},
+                            TimingModel{.d_com = 1.0, .d_cmp = 0.8},
+                            TimingModel{.d_com = 1.0, .d_cmp = 1.2}};
+  opts.round_deadline = 6.0;
+  opts.faults = FaultModel(mixed_faults());
+  const std::size_t tau = 4;
+  const auto trace =
+      Trainer(model, fed, opts).run(gd_solver(model, tau), "oracle");
+  ASSERT_EQ(trace.rounds.size(), opts.rounds);
+
+  // Rounds of different shapes follow one another (more or fewer crashes,
+  // misses and retries), so any slot list or round time carried over from
+  // an earlier round shows up as a mismatch.
+  RoundMetrics expect;
+  for (const auto& r : trace.rounds) {
+    double round_time = 0.0;
+    for (std::size_t device = 0; device < fed.num_devices(); ++device) {
+      const FaultEvent ev = opts.faults.sample(opts.seed, device, r.round);
+      if (ev.dropped) {
+        ++expect.dropped_devices;
+        continue;
+      }
+      const double completion = opts.per_device_timing[device].round_time(
+          tau, ev.slowdown,
+          ev.com_multiplier(opts.faults.config().retry_backoff));
+      const bool missed = completion > *opts.round_deadline;
+      round_time = std::max(round_time,
+                            std::min(completion, *opts.round_deadline));
+      if (ev.straggler) ++expect.straggler_devices;
+      expect.uplink_retries += ev.uplink_retries;
+      if (missed) ++expect.deadline_misses;
+      if (missed || ev.uplink_failed) ++expect.undelivered_updates;
+    }
+    EXPECT_DOUBLE_EQ(r.realized_round_time, round_time) << "round " << r.round;
+    EXPECT_EQ(r.dropped_devices, expect.dropped_devices) << "round " << r.round;
+    EXPECT_EQ(r.straggler_devices, expect.straggler_devices)
+        << "round " << r.round;
+    EXPECT_EQ(r.uplink_retries, expect.uplink_retries) << "round " << r.round;
+    EXPECT_EQ(r.deadline_misses, expect.deadline_misses)
+        << "round " << r.round;
+    EXPECT_EQ(r.undelivered_updates, expect.undelivered_updates)
+        << "round " << r.round;
+  }
+  // Every kind of fault fired, or this test proves little.
+  EXPECT_GT(expect.dropped_devices, 0u);
+  EXPECT_GT(expect.straggler_devices, 0u);
+  EXPECT_GT(expect.uplink_retries, 0u);
+  EXPECT_GT(expect.deadline_misses, 0u);
 }
 
 TEST(TrainerFaults, DeadlineBelowEveryDeviceFreezesTheModel) {

@@ -3,6 +3,7 @@
 // and never perturb the training trajectory.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -11,6 +12,7 @@
 
 #include "fl/trainer.h"
 #include "obs/obs.h"
+#include "obs/registry.h"
 #include "obs/trace.h"
 #include "testing/quadratic_model.h"
 #include "testing/temp_dir.h"
@@ -102,6 +104,105 @@ TEST_F(TrainerObsTest, MeasuredPhaseTimingsPopulatedAndMonotone) {
   EXPECT_GT(trace.measured_timing->d_cmp, 0.0);
   EXPECT_GT(trace.measured_timing->round_time(10),
             trace.measured_timing->round_time(1));
+}
+
+TEST_F(TrainerObsTest, MeasuredDcomIsBroadcastPlusAggregatePerRound) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = two_device_fed();
+  TrainerOptions opts;
+  opts.rounds = 5;
+  opts.observability.enabled = true;
+  const Trainer trainer(model, fed, opts);
+  const auto trace = trainer.run(sgd_solver(model, 10), "profiled");
+
+  ASSERT_TRUE(trace.measured_timing.has_value());
+  ASSERT_TRUE(trace.back().measured.has_value());
+  const PhaseTimings& phases = *trace.back().measured;
+  // Eval is diagnostics, not round time: every round evaluated, yet d_com
+  // holds only the broadcast and aggregate phases.
+  EXPECT_GT(phases.eval, 0.0);
+  const double com = phases.broadcast + phases.aggregate;
+  EXPECT_NEAR(trace.measured_timing->d_com * 5.0, com, 1e-12 * com);
+}
+
+TEST_F(TrainerObsTest, MeasuredDcmpIsDeviceSolveSecondsPerInnerIteration) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = two_device_fed();
+  TrainerOptions opts;
+  opts.rounds = 4;
+  opts.devices_per_round = 1;  // the idle device's solver never runs
+  opts.parallel = false;       // device solves nest inside the phase bracket
+  opts.observability.enabled = true;
+  const std::size_t tau = 2000;
+  obs::Registry::global().reset_values();
+  const auto trace =
+      Trainer(model, fed, opts).run(sgd_solver(model, tau), "d_cmp");
+
+  std::uint64_t iterations = 0;
+  for (const auto& c : obs::Registry::global().snapshot().counters) {
+    if (c.name == "solver.inner_iterations") iterations = c.value;
+  }
+  // Only the sampled participant's inner iterations count.
+  EXPECT_EQ(iterations, 4u * tau);
+  ASSERT_TRUE(trace.measured_timing.has_value());
+  ASSERT_TRUE(trace.back().measured.has_value());
+  const double solve_seconds =
+      trace.measured_timing->d_cmp * static_cast<double>(iterations);
+  const double local_solve = trace.back().measured->local_solve;
+  // The device solves are most of the local-solve phase and never more
+  // than it; the remainder is span and workspace bookkeeping.
+  EXPECT_GT(solve_seconds, 0.0);
+  EXPECT_LE(solve_seconds, local_solve + 1e-9);
+  EXPECT_GT(solve_seconds, 0.5 * local_solve);
+}
+
+TEST_F(TrainerObsTest, EachMeasuredPhaseAccumulatesAcrossRows) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = two_device_fed();
+  TrainerOptions opts;
+  opts.rounds = 4;
+  opts.eval_initial = true;
+  opts.observability.enabled = true;
+  const auto trace =
+      Trainer(model, fed, opts).run(sgd_solver(model, 10), "phases");
+
+  ASSERT_EQ(trace.rounds.size(), 5u);
+  // The round-0 row is an evaluation of w̄⁰ before any round ran.
+  ASSERT_TRUE(trace.rounds[0].measured.has_value());
+  const PhaseTimings& initial = *trace.rounds[0].measured;
+  EXPECT_EQ(initial.broadcast, 0.0);
+  EXPECT_EQ(initial.local_solve, 0.0);
+  EXPECT_EQ(initial.aggregate, 0.0);
+  EXPECT_GT(initial.eval, 0.0);
+  for (std::size_t i = 1; i < trace.rounds.size(); ++i) {
+    ASSERT_TRUE(trace.rounds[i].measured.has_value()) << "row " << i;
+    const PhaseTimings& prev = *trace.rounds[i - 1].measured;
+    const PhaseTimings& cur = *trace.rounds[i].measured;
+    // Every phase is a running total; each round solves and evaluates.
+    EXPECT_GE(cur.broadcast, prev.broadcast) << "row " << i;
+    EXPECT_GE(cur.aggregate, prev.aggregate) << "row " << i;
+    EXPECT_GT(cur.local_solve, prev.local_solve) << "row " << i;
+    EXPECT_GT(cur.eval, prev.eval) << "row " << i;
+  }
+}
+
+TEST_F(TrainerObsTest, RunStoppedAtRoundZeroMeasuresNoRoundTiming) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fed = two_device_fed();
+  TrainerOptions opts;
+  opts.rounds = 3;
+  opts.eval_initial = true;
+  opts.target_accuracy = 0.0;  // met by w̄⁰: no round runs
+  opts.observability.enabled = true;
+  const auto trace =
+      Trainer(model, fed, opts).run(sgd_solver(model, 5), "stopped");
+
+  ASSERT_EQ(trace.rounds.size(), 1u);
+  ASSERT_TRUE(trace.rounds[0].measured.has_value());
+  EXPECT_GT(trace.rounds[0].measured->eval, 0.0);
+  EXPECT_EQ(trace.rounds[0].measured->local_solve, 0.0);
+  // No round ran, so there is no eq. 19 delay to estimate.
+  EXPECT_FALSE(trace.measured_timing.has_value());
 }
 
 TEST_F(TrainerObsTest, UnprofiledRunLeavesMeasuredEmpty) {

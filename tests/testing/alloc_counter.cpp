@@ -1,7 +1,8 @@
 // Counting replacements of the global operator new / delete, shared by
-// nn_alloc_test and bench/micro_rounds. Every heap allocation the process
-// makes through operator new (containers, std::function, shared_ptr control
-// blocks, tensor::Arena slabs) bumps one relaxed atomic. Storage comes from
+// nn_alloc_test, fl_alloc_test and bench/micro_rounds. Every heap
+// allocation the process makes through operator new (containers,
+// std::function, shared_ptr control blocks, tensor::Arena slabs) bumps one
+// relaxed atomic and adds its size to another. Storage comes from
 // malloc/aligned_alloc and goes back via free.
 #include "testing/alloc_counter.h"
 
@@ -12,14 +13,17 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 void* counted_malloc(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n == 0 ? 1 : n);
 }
 
 void* counted_aligned(std::size_t n, std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
   return std::aligned_alloc(a, ((n == 0 ? 1 : n) + a - 1) / a * a);
@@ -32,6 +36,8 @@ namespace fedvr::testing {
 std::uint64_t heap_allocations() {
   return g_allocations.load(std::memory_order_relaxed);
 }
+
+std::uint64_t heap_bytes() { return g_bytes.load(std::memory_order_relaxed); }
 
 }  // namespace fedvr::testing
 
