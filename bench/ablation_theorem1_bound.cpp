@@ -80,7 +80,6 @@ int main(int argc, char** argv) {
   run_cfg.rounds = rounds;
   run_cfg.seed = seed;
   run_cfg.eval_grad_norm = true;
-  run_cfg.collect_theta = true;
   run_cfg.eval_initial = true;
   const auto trace = core::run_federated(model, fed,
                                          core::fedproxvr_sarah(hp), run_cfg);

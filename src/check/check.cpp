@@ -148,10 +148,4 @@ std::uint64_t hash_span(std::span<const double> v) {
   return state;
 }
 
-std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
-  unsigned char bytes[sizeof value];
-  std::memcpy(bytes, &value, sizeof value);
-  return fnv1a_bytes(seed == 0 ? kFnvOffset : seed, bytes, sizeof value);
-}
-
 }  // namespace fedvr::check

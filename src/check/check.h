@@ -86,10 +86,6 @@ bool set_enabled(bool on);
 /// (an "almost equal" run is a reproducibility bug, not a match).
 [[nodiscard]] std::uint64_t hash_span(std::span<const double> v);
 
-/// Folds `value` into a running FNV-1a state (e.g. to hash a whole trace).
-[[nodiscard]] std::uint64_t hash_combine(std::uint64_t seed,
-                                         std::uint64_t value);
-
 }  // namespace fedvr::check
 
 #if defined(FEDVR_CHECKS_DISABLED)

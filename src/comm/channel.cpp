@@ -23,11 +23,9 @@ LinkModel LinkModel::derive(const fl::TimingModel& timing,
 }
 
 void ChannelOptions::validate() const {
-  FEDVR_CHECK_MSG(latency_fraction >= 0.0 && latency_fraction < 1.0,
-                  "latency_fraction must be in [0, 1), got "
-                      << latency_fraction);
-  // dtype_name throws on an out-of-range tag (possible via memcpy'd enums).
-  (void)dtype_name(uplink_dtype);
+  // payload_bytes throws on an out-of-range tag (possible via memcpy'd
+  // enums); dtype_name would only label it "unknown".
+  (void)payload_bytes(uplink_dtype, 0);
 }
 
 bool ChannelOptions::transforms_uplink() const {
@@ -110,7 +108,7 @@ double Channel::link_round_time(const fl::TimingModel& timing) const {
   const std::size_t reference =
       2 * wire_bytes(DType::kFloat64, dim_, dim_, /*sparse=*/false);
   const LinkModel link =
-      LinkModel::derive(timing, reference, options_.latency_fraction);
+      LinkModel::derive(timing, reference, kLinkLatencyFraction);
   return link.transfer_time(downlink_wire_bytes() + uplink_wire_bytes());
 }
 

@@ -55,6 +55,10 @@ struct LinkModel {
                                         double latency_fraction);
 };
 
+/// Fraction of d_com that is latency floor under byte_timing; the rest is
+/// bandwidth (LinkModel::derive).
+inline constexpr double kLinkLatencyFraction = 0.5;
+
 struct ChannelOptions {
   /// Uplink sparsifier/quantizer applied to the update delta. Null = dense.
   std::shared_ptr<const Compressor> compressor;
@@ -70,11 +74,9 @@ struct ChannelOptions {
   /// uncompressed float64 exchange costs the TimingModel's d_com); when
   /// false, the analytic flat d_com is charged as before.
   bool byte_timing = false;
-  /// Fraction of d_com that is latency floor under byte_timing.
-  double latency_fraction = 0.5;
 
-  /// Always-on validation (util/error.h): the dtype tag and
-  /// latency_fraction must be meaningful in every build configuration.
+  /// Always-on validation (util/error.h): the dtype tag must be meaningful
+  /// in every build configuration.
   void validate() const;
 
   /// True when the uplink transforms values at all (compression, lossy

@@ -114,8 +114,12 @@ class FedProxVRPolicy final : public RoundPolicy {
         solvers_.size() == 1 ? solvers_.front() : solvers_[device];
     const auto result = solver.solve(shard, w_, rng, step.ws, local);
     StepResult out{.grad_evals = result.sample_gradient_evals,
-                   .iterations = result.iterations_run,
-                   .theta = result.measured_theta};
+                   .iterations = result.iterations_run};
+    // θ exists only where the solver computed its diagnostics; any other
+    // solve leaves it "not measured".
+    if (solver.options().compute_diagnostics) {
+      out.theta = result.measured_theta;
+    }
     if (transforms_) {
       // Uplink the update delta through the comm seam (error feedback,
       // compression, wire encode/decode); the server reconstructs anchor +
@@ -152,8 +156,14 @@ class FedProxVRPolicy final : public RoundPolicy {
     // later round. w̄^(s-1) is the aggregation anchor and the norm-bound
     // reference.
     tensor::copy(w_, w_prev_);
+    // reserve() ahead of the loops, for as many slots as the round has
+    // participants: capacity carries over, so once the first round has
+    // sized these buffers no push_back reallocates.
+    const std::size_t slots = round.participants.size();
     accepted_.clear();
+    accepted_.reserve(slots);
     rejected_.clear();
+    rejected_.reserve(slots);
     for (const std::size_t k : round.survivors) {
       const std::vector<double>& local = round.uploads[k];
       FEDVR_CHECK_SHAPE(local.size(), w_.size());
@@ -164,13 +174,19 @@ class FedProxVRPolicy final : public RoundPolicy {
         // past a disabled finiteness check still fails here.
         ok = tensor::squared_distance(local, w_prev_) <= bound * bound;
       }
-      (ok ? accepted_ : rejected_).push_back(k);
+      if (ok) {
+        accepted_.push_back(k);
+      } else {
+        rejected_.push_back(k);
+      }
     }
     // Aggregate the accepted updates, ascending device order. A round with
     // nothing accepted keeps w̄^(s-1) unchanged.
     if (!accepted_.empty()) {
       update_views_.clear();
+      update_views_.reserve(slots);
       update_weights_.clear();
+      update_weights_.reserve(slots);
       for (const std::size_t k : accepted_) {
         update_views_.emplace_back(round.uploads[k]);
         update_weights_.push_back(fed_.weight(round.participants[k]));
@@ -449,6 +465,7 @@ void RunState::local_work() {
     // Serial registration of this round's uplinkers' error-feedback slots:
     // the parallel section below must never mutate keyed channel state.
     uplinkers.clear();
+    uplinkers.reserve(participants.size());
     for (const std::size_t k : survivors) {
       uplinkers.push_back(participants[k]);
     }
@@ -553,20 +570,20 @@ bool RunState::record(std::size_t s) {
   m.comm_bytes = m.uplink_bytes + m.downlink_bytes;
   m.wall_seconds = wall.seconds();
   if (obs_on) m.measured = phases;
-  if (options.collect_theta) {
-    double sum = 0.0;
-    std::size_t count = 0;
-    for (const std::size_t k : working) {
-      if (steps[k].theta >= 0.0) {
-        // Predicate-filtered diagnostic mean, ascending slot order;
-        // trace-only, never fed back into the model.
-        // lint:allow(fp-reduction-in-seam) trace-only diagnostic mean
-        sum += steps[k].theta;
-        ++count;
-      }
+  // The mean θ over this round's solves that measured one; -1 when none did.
+  double theta_sum = 0.0;
+  std::size_t theta_count = 0;
+  for (const std::size_t k : working) {
+    if (steps[k].theta >= 0.0) {
+      // Predicate-filtered diagnostic mean, ascending slot order;
+      // trace-only, never fed back into the model.
+      // lint:allow(fp-reduction-in-seam) trace-only diagnostic mean
+      theta_sum += steps[k].theta;
+      ++theta_count;
     }
-    m.mean_local_theta = count > 0 ? sum / static_cast<double>(count) : -1.0;
   }
+  m.mean_local_theta =
+      theta_count > 0 ? theta_sum / static_cast<double>(theta_count) : -1.0;
   trace.rounds.push_back(m);
   FEDVR_LOG_DEBUG << trace.algorithm << " round " << s << " loss "
                   << m.train_loss << " acc " << m.test_accuracy;

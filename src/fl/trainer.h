@@ -83,7 +83,6 @@ struct TrainerOptions {
   /// relies purely on param hashes.
   bool eval_final = true;
   bool eval_grad_norm = false;    // ||∇F̄||² costs a full pass; opt-in
-  bool collect_theta = false;     // per-device θ diagnostics (costly)
   /// Devices participating per round; nullopt = all (the paper's setting).
   std::optional<std::size_t> devices_per_round;
   /// Stop early once pooled-test accuracy reaches this value (if set).

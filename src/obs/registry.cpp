@@ -1,7 +1,6 @@
 #include "obs/registry.h"
 
 #include <charconv>
-#include <fstream>
 
 #include "util/error.h"
 
@@ -30,39 +29,6 @@ void append_double(std::string& out, double v) {
 
 }  // namespace detail
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1) {
-  FEDVR_CHECK_MSG(!bounds_.empty(), "histogram needs at least one bucket");
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    FEDVR_CHECK_MSG(bounds_[i - 1] < bounds_[i],
-                    "histogram bounds must be strictly increasing");
-  }
-}
-
-void Histogram::record(double v) {
-  std::size_t b = 0;
-  while (b < bounds_.size() && v > bounds_[b]) ++b;
-  counts_[b].add(1);
-  count_.add(1);
-  sum_.add(v);
-}
-
-Histogram::Snapshot Histogram::snapshot() const {
-  Snapshot s;
-  s.bounds = bounds_;
-  s.counts.reserve(counts_.size());
-  for (const auto& c : counts_) s.counts.push_back(c.value());
-  s.count = count_.value();
-  s.sum = sum_.value();
-  return s;
-}
-
-void Histogram::reset() {
-  for (auto& c : counts_) c.reset();
-  count_.reset();
-  sum_.reset();
-}
-
 Registry& Registry::global() {
   static Registry registry;  // construct-on-first-use; lives until exit
   return registry;
@@ -70,7 +36,7 @@ Registry& Registry::global() {
 
 Counter& Registry::counter(std::string_view name) {
   std::scoped_lock lock(mutex_);
-  FEDVR_CHECK_MSG(!gauges_.contains(name) && !histograms_.contains(name),
+  FEDVR_CHECK_MSG(!gauges_.contains(name),
                   "metric '" << name << "' already registered as another type");
   auto it = counters_.find(name);
   if (it == counters_.end()) {
@@ -82,31 +48,11 @@ Counter& Registry::counter(std::string_view name) {
 
 Gauge& Registry::gauge(std::string_view name) {
   std::scoped_lock lock(mutex_);
-  FEDVR_CHECK_MSG(!counters_.contains(name) && !histograms_.contains(name),
+  FEDVR_CHECK_MSG(!counters_.contains(name),
                   "metric '" << name << "' already registered as another type");
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
-}
-
-Histogram& Registry::histogram(std::string_view name,
-                               std::vector<double> upper_bounds) {
-  std::scoped_lock lock(mutex_);
-  FEDVR_CHECK_MSG(!counters_.contains(name) && !gauges_.contains(name),
-                  "metric '" << name << "' already registered as another type");
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(upper_bounds)))
-             .first;
-  } else {
-    FEDVR_CHECK_MSG(upper_bounds.empty() ||
-                        upper_bounds == it->second->bounds(),
-                    "histogram '" << name
-                                  << "' re-registered with different bounds");
   }
   return *it->second;
 }
@@ -122,10 +68,6 @@ MetricsSnapshot Registry::snapshot() const {
   for (const auto& [name, g] : gauges_) {
     s.gauges.push_back({name, g->value()});
   }
-  s.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    s.histograms.push_back({name, h->snapshot()});
-  }
   return s;
 }
 
@@ -133,7 +75,6 @@ void Registry::reset_values() {
   std::scoped_lock lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
 }
 
 void MetricsSnapshot::write_jsonl(std::ostream& os) const {
@@ -156,36 +97,6 @@ void MetricsSnapshot::write_jsonl(std::ostream& os) const {
     line += "}\n";
     os << line;
   }
-  for (const auto& h : histograms) {
-    line.clear();
-    line += "{\"type\":\"histogram\",\"name\":\"";
-    line += h.name;
-    line += "\",\"count\":";
-    line += std::to_string(h.data.count);
-    line += ",\"sum\":";
-    detail::append_double(line, h.data.sum);
-    line += ",\"buckets\":[";
-    for (std::size_t i = 0; i < h.data.counts.size(); ++i) {
-      if (i > 0) line += ',';
-      line += "{\"le\":";
-      if (i < h.data.bounds.size()) {
-        detail::append_double(line, h.data.bounds[i]);
-      } else {
-        line += "\"inf\"";
-      }
-      line += ",\"count\":";
-      line += std::to_string(h.data.counts[i]);
-      line += '}';
-    }
-    line += "]}\n";
-    os << line;
-  }
-}
-
-void MetricsSnapshot::write_jsonl_file(const std::string& path) const {
-  std::ofstream out(path);
-  FEDVR_CHECK_MSG(out.good(), "cannot open '" << path << "' for writing");
-  write_jsonl(out);
 }
 
 }  // namespace fedvr::obs

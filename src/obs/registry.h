@@ -1,17 +1,15 @@
-// fedvr::obs metrics registry: named counters, gauges, and fixed-bucket
-// histograms, snapshotable at any time.
+// fedvr::obs metrics registry: named counters and gauges, snapshotable at
+// any time.
 //
 // Hot-path cost model:
 //   * Counter::add — one relaxed fetch_add on a per-thread shard (wait-free,
 //     no cache-line ping-pong between threads).
 //   * Gauge::set — one relaxed store; Gauge::add — a CAS loop (gauges are
 //     not meant for per-element hot loops).
-//   * Histogram::record — bucket search (branchless-ish linear scan over a
-//     handful of bounds) + one relaxed fetch_add.
-// Registration (counter()/gauge()/histogram()) takes a mutex and should be
-// done once per site; the FEDVR_OBS_COUNT macro caches the handle in a
-// function-local static so steady-state cost is the enabled() check plus
-// the shard increment.
+// Registration (counter()/gauge()) takes a mutex and should be done once
+// per site; the FEDVR_OBS_COUNT macro caches the handle in a function-local
+// static so steady-state cost is the enabled() check plus the shard
+// increment.
 #pragma once
 
 #include <array>
@@ -95,35 +93,6 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Fixed-bucket histogram: bounds are upper edges (v <= bound), with an
-/// implicit +inf overflow bucket. Bounds are set at registration and never
-/// change.
-class Histogram {
- public:
-  /// `upper_bounds` must be non-empty and strictly increasing.
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void record(double v);
-
-  struct Snapshot {
-    std::vector<double> bounds;         // upper edges, excluding +inf
-    std::vector<std::uint64_t> counts;  // bounds.size() + 1 (last = overflow)
-    std::uint64_t count = 0;
-    double sum = 0.0;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-
-  void reset();
-
- private:
-  std::vector<double> bounds_;
-  std::vector<Counter> counts_;  // one per bucket; sharded like counters
-  Counter count_;
-  Gauge sum_;
-};
-
 /// A point-in-time copy of every registered metric, ordered by name.
 struct MetricsSnapshot {
   struct CounterValue {
@@ -134,25 +103,17 @@ struct MetricsSnapshot {
     std::string name;
     double value = 0.0;
   };
-  struct HistogramValue {
-    std::string name;
-    Histogram::Snapshot data;
-  };
   std::vector<CounterValue> counters;
   std::vector<GaugeValue> gauges;
-  std::vector<HistogramValue> histograms;
 
   /// One JSON object per line:
   ///   {"type":"counter","name":"...","value":N}
   ///   {"type":"gauge","name":"...","value":X}
-  ///   {"type":"histogram","name":"...","count":N,"sum":X,
-  ///    "buckets":[{"le":B,"count":N},...,{"le":"inf","count":N}]}
   void write_jsonl(std::ostream& os) const;
-  void write_jsonl_file(const std::string& path) const;
 };
 
-/// Name -> metric registry. Handles returned by counter()/gauge()/
-/// histogram() are stable for the registry's lifetime.
+/// Name -> metric registry. Handles returned by counter()/gauge() are
+/// stable for the registry's lifetime.
 class Registry {
  public:
   /// The process-wide registry used by all fedvr instrumentation.
@@ -166,10 +127,6 @@ class Registry {
   /// Throws util::Error if `name` is already a different metric type.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// `upper_bounds` is consumed on first registration; later calls must
-  /// pass the same bounds (or empty to mean "whatever was registered").
-  Histogram& histogram(std::string_view name,
-                       std::vector<double> upper_bounds);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
@@ -181,7 +138,6 @@ class Registry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 }  // namespace fedvr::obs

@@ -216,10 +216,4 @@ void write_span_summary_jsonl(std::ostream& os) {
   }
 }
 
-void write_span_summary_jsonl_file(const std::string& path) {
-  std::ofstream out(path);
-  FEDVR_CHECK_MSG(out.good(), "cannot open '" << path << "' for writing");
-  write_span_summary_jsonl(out);
-}
-
 }  // namespace fedvr::obs

@@ -83,7 +83,6 @@ void write_chrome_trace_file(const std::string& path);
 ///   {"type":"span_summary","name":"...","count":N,"total_us":X,
 ///    "mean_us":X,"min_us":X,"max_us":X}
 void write_span_summary_jsonl(std::ostream& os);
-void write_span_summary_jsonl_file(const std::string& path);
 
 }  // namespace fedvr::obs
 

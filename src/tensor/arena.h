@@ -39,7 +39,7 @@ class Arena {
   /// `trim_bytes` caps long-term slab retention: when > 0 and an episode
   /// (outermost scope) finishes having used no more than the cap while the
   /// slab had grown beyond it, the slab shrinks back — one outlier shape
-  /// must not pin memory forever (same policy as scratch_resize's
+  /// must not pin memory forever (scratch_arena() passes
   /// kScratchCapDoubles, see kernels.h).
   explicit Arena(std::size_t capacity_bytes = 0, std::size_t trim_bytes = 0);
   ~Arena();

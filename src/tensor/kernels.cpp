@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <limits>
-#include <vector>
 
 #include "check/check.h"
 #include "obs/registry.h"
@@ -22,20 +20,6 @@
 #endif
 
 namespace fedvr::tensor {
-
-void scratch_resize(std::vector<double>& buf, std::size_t n) {
-  const bool drop_oversize =
-      buf.capacity() > kScratchCapDoubles && n <= kScratchCapDoubles;
-  if (drop_oversize || n > buf.capacity()) {
-    // Fresh-allocate + swap: contents are scratch, so never pay resize()'s
-    // copy of the stale prefix into the new allocation (and the shrink path
-    // costs exactly one free + one allocation).
-    std::vector<double> fresh(n);
-    buf.swap(fresh);
-    return;
-  }
-  buf.resize(n);
-}
 
 namespace {
 
@@ -853,25 +837,6 @@ void gemv(Trans trans, std::size_t rows, std::size_t cols, double alpha,
     } else {
       run_cols(0, cols);
     }
-  }
-}
-
-void softmax_rows(std::size_t rows, std::size_t cols,
-                  std::span<const double> logits, std::span<double> probs) {
-  FEDVR_CHECK_SHAPE(logits.size(), rows * cols);
-  FEDVR_CHECK_SHAPE(probs.size(), rows * cols);
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double* in = logits.data() + i * cols;
-    double* out = probs.data() + i * cols;
-    double max_v = -std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < cols; ++j) max_v = std::max(max_v, in[j]);
-    double sum = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) {
-      out[j] = std::exp(in[j] - max_v);
-      sum += out[j];
-    }
-    const double inv = 1.0 / sum;
-    for (std::size_t j = 0; j < cols; ++j) out[j] *= inv;
   }
 }
 

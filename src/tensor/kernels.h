@@ -1,13 +1,13 @@
 // Matrix kernels: GEMM/GEMV and the elementwise / reduction operations the
 // nn layers are written in terms of.
 //
-// Matrices are dense row-major spans with explicit dimensions; the Tensor
-// class provides storage and the layers slice views out of it. GEMM is a
-// cache-blocked (MC x NC x KC panels, MR x NR register-tiled microkernel)
-// implementation parallelized over disjoint row-blocks of C — no external
-// BLAS per the reproduction rules. The k-accumulation order of every C
-// element is fixed by the blocking constants alone, never by the thread
-// partition, so results are bit-identical across pool sizes (the
+// Matrices are dense row-major spans with explicit dimensions; the layers
+// pass views of caller-owned vectors (parameters, gradients, activations).
+// GEMM is a cache-blocked (MC x NC x KC panels, MR x NR register-tiled
+// microkernel) implementation parallelized over disjoint row-blocks of C —
+// no external BLAS per the reproduction rules. The k-accumulation order of
+// every C element is fixed by the blocking constants alone, never by the
+// thread partition, so results are bit-identical across pool sizes (the
 // determinism contract; see DESIGN.md §10). Two unpacked paths take
 // small-C dot products and small-m A^T*B products, and small products run
 // a packed triple loop; the selection depends only on the shape and the
@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace fedvr::tensor {
 
@@ -25,20 +24,10 @@ enum class Trans { kNo, kYes };
 /// Per-thread kernel scratch above this many doubles (8 MiB) is released
 /// once the current episode no longer needs it, rather than retained for
 /// the lifetime of the thread — one outlier shape must not pin that much
-/// memory per pool worker forever. The kernels themselves draw scratch from
-/// tensor::scratch_arena() (arena.h), whose trim policy enforces the same
-/// cap; scratch_resize() applies it to plain reusable vectors (solver
-/// workspaces, tests). The cap's interaction with the flat-vector helpers
-/// is documented in vecops.h.
+/// memory per pool worker forever. The kernels draw their scratch from
+/// tensor::scratch_arena() (arena.h), whose end-of-episode trim enforces
+/// this cap.
 constexpr std::size_t kScratchCapDoubles = 1U << 20;
-
-/// Resizes a reusable scratch vector to n doubles without preserving
-/// contents: grows via fresh allocation + swap (never copies the stale
-/// prefix the way resize() would), and releases retained capacity when it
-/// exceeds kScratchCapDoubles and the new request fits under the cap —
-/// one free + one allocation, not the free/realloc pair a shrink-through-
-/// resize() would cost. Contents after the call are unspecified.
-void scratch_resize(std::vector<double>& buf, std::size_t n);
 
 /// C = alpha * op(A) * op(B) + beta * C.
 /// A is (m x k) after op, B is (k x n) after op, C is (m x n).
@@ -58,10 +47,6 @@ void gemm_packed(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
 void gemv(Trans trans, std::size_t rows, std::size_t cols, double alpha,
           std::span<const double> a, std::span<const double> x, double beta,
           std::span<double> y);
-
-/// Row-wise softmax of a (rows x cols) matrix, numerically stabilized.
-void softmax_rows(std::size_t rows, std::size_t cols,
-                  std::span<const double> logits, std::span<double> probs);
 
 /// Row-wise argmax of a (rows x cols) matrix.
 void argmax_rows(std::size_t rows, std::size_t cols,

@@ -21,13 +21,6 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-void axpby(double alpha, std::span<const double> x, double beta,
-           std::span<double> y) {
-  check_same_size(x, y);
-  const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) y[i] = alpha * x[i] + beta * y[i];
-}
-
 void scal(double alpha, std::span<double> x) {
   for (double& v : x) v *= alpha;
 }

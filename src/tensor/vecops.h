@@ -6,16 +6,9 @@
 // compiler can vectorize, with spans per the Core Guidelines (no raw
 // pointer+length pairs in interfaces).
 //
-// Scratch-cap policy: none of these helpers allocate — every function
-// writes through caller-provided spans, so the retained-capacity cap
-// (tensor::kScratchCapDoubles, kernels.h) never applies *inside* vecops.
-// It binds at the layer that owns the buffers these spans view: reusable
-// vectors sized with scratch_resize() release capacity above the cap when
-// a small request follows a huge one, and arena-backed scratch
-// (tensor::scratch_arena) trims its slab to the same bound at episode end.
-// Callers holding long-lived flat vectors (solver workspaces, accumulator
-// slabs) therefore pass vecops views freely: capacity policy is decided
-// where the vector is resized, never where it is read or written.
+// None of these helpers allocate: every function writes through
+// caller-provided spans, so how much capacity a buffer keeps is decided by
+// its owner (a solver workspace, an accumulator slab), never here.
 #pragma once
 
 #include <cstddef>
@@ -26,10 +19,6 @@ namespace fedvr::tensor {
 
 /// y += alpha * x
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
-
-/// y = alpha * x + beta * y
-void axpby(double alpha, std::span<const double> x, double beta,
-           std::span<double> y);
 
 /// x *= alpha
 void scal(double alpha, std::span<double> x);

@@ -85,32 +85,6 @@ void Rng::sample_subset_sorted(std::size_t n, std::size_t k,
   std::sort(out.begin(), out.end());
 }
 
-std::size_t Rng::categorical(std::span<const double> weights) {
-  FEDVR_CHECK(!weights.empty());
-  double total = 0.0;
-  std::size_t last_nonzero = 0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double w = weights[i];
-    FEDVR_CHECK_MSG(w >= 0.0, "negative categorical weight " << w);
-    total += w;
-    if (w > 0.0) last_nonzero = i;
-  }
-  FEDVR_CHECK_MSG(total > 0.0, "categorical weights sum to zero");
-  double r = uniform() * total;
-  for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
-    // Zero-weight indices never win: r can dip below 0 under fp rounding
-    // (the pairwise subtractions need not reproduce `total`), and without
-    // the w > 0 guard such an r would select the next index regardless of
-    // its weight.
-    if (weights[i] > 0.0 && r < weights[i]) return i;
-    r -= weights[i];
-  }
-  // Fallthrough when rounding walks r past every weight: clamp to the last
-  // index with positive weight, not blindly to weights.size() - 1 (whose
-  // weight may be zero — an index the distribution can never produce).
-  return last_nonzero;
-}
-
 Rng fork(std::uint64_t master_seed, std::uint64_t a, std::uint64_t b,
          std::uint64_t c) {
   // Run the coordinates through SplitMix64 sequentially; each absorption

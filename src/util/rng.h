@@ -43,6 +43,7 @@ class Rng {
     for (auto& word : state_) word = splitmix64(seed);
     // All-zero state is the one invalid state; SplitMix64 cannot emit four
     // zeros in a row from any seed, so no further guard is needed.
+    has_cached_normal_ = false;  // a cached variate belongs to the old stream
   }
 
   static constexpr result_type min() { return 0; }
@@ -117,9 +118,6 @@ class Rng {
   /// different streams, so they are not interchangeable under a pinned seed.
   void sample_subset_sorted(std::size_t n, std::size_t k,
                             std::vector<std::size_t>& out);
-
-  /// Index sampled from an (unnormalized, nonnegative) weight vector.
-  [[nodiscard]] std::size_t categorical(std::span<const double> weights);
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

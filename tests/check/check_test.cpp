@@ -161,12 +161,30 @@ TEST(Check, HashSpanIsDeterministicAndBitSensitive) {
   EXPECT_NE(hash_span(pos_zero), hash_span(neg_zero));
 }
 
-TEST(Check, HashCombineFoldsOrderSensitively) {
-  const std::uint64_t h1 = hash_combine(hash_combine(0, 1), 2);
-  const std::uint64_t h2 = hash_combine(hash_combine(0, 2), 1);
-  EXPECT_NE(h1, h2);
-  EXPECT_EQ(hash_combine(hash_combine(0, 1), 2),
-            hash_combine(hash_combine(0, 1), 2));
+TEST(Check, HashSpanIsFnv1aOverTheVectorBytes) {
+  // 64-bit FNV-1a (offset basis 0xcbf29ce484222325, prime 2^40 + 0x1b3)
+  // over the vector's bytes in memory order: the definition the trace
+  // CSVs' param_hash column is documented with.
+  const auto fnv1a = [](const std::vector<double>& v) {
+    std::vector<unsigned char> bytes(v.size() * sizeof(double));
+    if (!v.empty()) std::memcpy(bytes.data(), v.data(), bytes.size());
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  EXPECT_EQ(hash_span({}), 0xcbf29ce484222325ULL);
+  std::vector<double> ramp(1000);
+  for (std::size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = std::ldexp(static_cast<double>(i) - 499.5, -7);
+  }
+  for (const std::vector<double>& v :
+       {std::vector<double>{1.0}, std::vector<double>{1.0, -2.5, 3e-300},
+        ramp}) {
+    EXPECT_EQ(hash_span(v), fnv1a(v)) << v.size() << " elements";
+  }
 }
 
 TEST(Check, FirstNonFiniteFindsEarliestOffender) {

@@ -24,13 +24,6 @@ std::vector<double> ramp(std::size_t n) {
   return v;
 }
 
-TEST(ChannelOptions, ValidatesLatencyFraction) {
-  ChannelOptions bad;
-  bad.byte_timing = true;
-  bad.latency_fraction = 1.5;
-  EXPECT_THROW(bad.validate(), Error);
-}
-
 TEST(ChannelOptions, LabelNamesThePipeline) {
   ChannelOptions plain;
   EXPECT_EQ(plain.label(), "dense/f64");
@@ -39,6 +32,35 @@ TEST(ChannelOptions, LabelNamesThePipeline) {
   lossy.error_feedback = true;
   lossy.uplink_dtype = DType::kInt8Block;
   EXPECT_EQ(lossy.label(), "top-k(0.25)+ef/q8");
+}
+
+TEST(ChannelOptions, ValidateRejectsAnUnknownDtypeTag) {
+  for (const DType dtype :
+       {DType::kFloat64, DType::kFloat32, DType::kInt8Block}) {
+    ChannelOptions ok;
+    ok.uplink_dtype = dtype;
+    EXPECT_NO_THROW(ok.validate()) << dtype_name(dtype);
+  }
+  ChannelOptions bad;
+  bad.uplink_dtype = static_cast<DType>(7);
+  EXPECT_THROW(bad.validate(), Error);
+  EXPECT_THROW(Channel(bad, 1, 8), Error);
+}
+
+TEST(ChannelOptions, TransformsUplinkOnlyWhenValuesChange) {
+  EXPECT_FALSE(ChannelOptions{}.transforms_uplink());
+  ChannelOptions timed;
+  timed.byte_timing = true;  // changes the clock, not the values
+  EXPECT_FALSE(timed.transforms_uplink());
+  ChannelOptions sparse;
+  sparse.compressor = std::make_shared<TopKCompressor>(0.5);
+  EXPECT_TRUE(sparse.transforms_uplink());
+  ChannelOptions ef;
+  ef.error_feedback = true;
+  EXPECT_TRUE(ef.transforms_uplink());
+  ChannelOptions f32;
+  f32.uplink_dtype = DType::kFloat32;
+  EXPECT_TRUE(f32.transforms_uplink());
 }
 
 TEST(Channel, PassthroughChannelDoesNotTouchValues) {
@@ -124,6 +146,63 @@ TEST(LinkModel, DeriveCalibratesReferenceExchangeToDcom) {
   EXPECT_NEAR(link.transfer_time(ref_bytes / 2), 0.5 + 0.75, 1e-12);
 }
 
+TEST(LinkModel, DeriveRejectsOutOfRangeInputs) {
+  const fl::TimingModel timing{.d_com = 2.0, .d_cmp = 0.1};
+  // The latency fraction must leave some d_com for the bandwidth term.
+  EXPECT_THROW((void)LinkModel::derive(timing, 1000, 1.0), Error);
+  EXPECT_THROW((void)LinkModel::derive(timing, 1000, 1.5), Error);
+  EXPECT_THROW((void)LinkModel::derive(timing, 1000, -0.25), Error);
+  EXPECT_THROW((void)LinkModel::derive(timing, 0, 0.5), Error);
+  const fl::TimingModel negative{.d_com = -1.0, .d_cmp = 0.1};
+  EXPECT_THROW((void)LinkModel::derive(negative, 1000, 0.5), Error);
+  // Fraction 0: no latency floor, all of d_com is bandwidth.
+  const LinkModel pure = LinkModel::derive(timing, 1000, 0.0);
+  EXPECT_EQ(pure.latency, 0.0);
+  EXPECT_NEAR(pure.transfer_time(1000), 2.0, 1e-12);
+  EXPECT_NEAR(pure.transfer_time(250), 0.5, 1e-12);
+}
+
+TEST(Channel, ByteTimingSplitsDcomAtTheLatencyConstant) {
+  // link_round_time = f·d_com + (1 − f)·d_com · (down + up) / (2·dense),
+  // with f = kLinkLatencyFraction and dense the float64 frame.
+  const std::size_t dim = 1000;
+  const fl::TimingModel timing{.d_com = 3.0, .d_cmp = 0.1};
+  const double dense = static_cast<double>(kHeaderBytes + dim * 8);
+  ChannelOptions opts;
+  opts.byte_timing = true;
+  opts.compressor = std::make_shared<TopKCompressor>(0.1);
+  for (const DType dtype : {DType::kFloat64, DType::kInt8Block}) {
+    opts.uplink_dtype = dtype;
+    const Channel ch(opts, 1, dim);
+    const double exchanged =
+        static_cast<double>(ch.downlink_wire_bytes() + ch.uplink_wire_bytes());
+    const double want = kLinkLatencyFraction * timing.d_com +
+                        (1.0 - kLinkLatencyFraction) * timing.d_com *
+                            exchanged / (2.0 * dense);
+    EXPECT_NEAR(ch.link_round_time(timing), want, 1e-12) << dtype_name(dtype);
+  }
+}
+
+TEST(Channel, ResetClearsErrorFeedbackResidual) {
+  const std::size_t dim = 4;
+  ChannelOptions opts;
+  opts.compressor = std::make_shared<TopKCompressor>(0.25);  // keep 1 of 4
+  opts.error_feedback = true;
+  Channel ch(opts, 1, dim);
+  util::Rng rng(1);
+  std::vector<double> r1{4.0, 1.0, 1.0, 1.0};
+  (void)ch.uplink(0, r1, rng);  // e = {0, 1, 1, 1}
+  ch.reset();
+  const auto e = ch.error_feedback().residual(0);
+  EXPECT_EQ(std::vector<double>(e.begin(), e.end()),
+            (std::vector<double>(dim, 0.0)));
+  // Without a carried residual, {0, 3, 1, 1} sends coordinate 1 as is; with
+  // it, the channel would have sent {0, 4, 0, 0}.
+  std::vector<double> r2{0.0, 3.0, 1.0, 1.0};
+  (void)ch.uplink(0, r2, rng);
+  EXPECT_EQ(r2, (std::vector<double>{0.0, 3.0, 0.0, 0.0}));
+}
+
 TEST(Channel, ByteTimingChargesDcomForDenseAndLessWhenCompressed) {
   const std::size_t dim = 1000;
   const fl::TimingModel timing{.d_com = 1.0, .d_cmp = 0.1};
@@ -140,7 +219,7 @@ TEST(Channel, ByteTimingChargesDcomForDenseAndLessWhenCompressed) {
   Channel lossy_ch(lossy, 1, dim);
   const double t = lossy_ch.link_round_time(timing);
   EXPECT_LT(t, 1.0);                              // cheaper than dense
-  EXPECT_GT(t, lossy.latency_fraction * 1.0 / 2); // latency floor remains
+  EXPECT_GT(t, kLinkLatencyFraction * 1.0 / 2);  // latency floor remains
 }
 
 TEST(Channel, ValidatesDeltaSize) {

@@ -10,6 +10,7 @@
 #include "tensor/vecops.h"
 #include "testing/quadratic_model.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace fedvr::fl {
@@ -489,6 +490,49 @@ TEST(Trainer, GradNormEvaluationIsOptIn) {
   const auto b = ton.run(gd_solver(model, 2, 0.2, 0.5), "t");
   EXPECT_LT(a.back().grad_norm_sq, 0.0);   // sentinel -1
   EXPECT_GE(b.back().grad_norm_sq, 0.0);
+}
+
+TEST(Trainer, MeanLocalThetaComesOnlyFromSolvesThatMeasuredIt) {
+  // θ (eq. 11) is measured only by a solver with diagnostics on. A round of
+  // solves that measured nothing reads "not measured" (-1), not θ = 0.
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  data::FederatedDataset fed;
+  for (std::size_t d = 0; d < 4; ++d) {
+    const double center = 0.5 * static_cast<double>(d);
+    fed.train.push_back(quadratic_dataset(6 + d, kDim, center, 0.3, 10 + d));
+    fed.test.push_back(quadratic_dataset(4, kDim, center, 0.3, 20 + d));
+  }
+  TrainerOptions opts;
+  opts.rounds = 3;
+  opts.seed = 5;
+  const Trainer trainer(model, fed, opts);
+  const std::vector<double> w0(kDim, 1.0);
+  opt::LocalSolverOptions o;
+  o.estimator = opt::Estimator::kSvrg;
+  o.tau = 5;
+  o.eta = 0.1;
+  o.mu = 0.1;
+  o.batch_size = 2;
+
+  const auto off = trainer.run(opt::LocalSolver(model, o), "off", w0);
+  ASSERT_EQ(off.rounds.size(), 3u);
+  for (const auto& r : off.rounds) EXPECT_EQ(r.mean_local_theta, -1.0);
+
+  // Round 1 starts every device from w0 with its (seed, n + 1, 1) sampling
+  // stream; the row holds the ascending mean of the devices' measured θ.
+  o.compute_diagnostics = true;
+  const opt::LocalSolver solver(model, o);
+  const auto on = trainer.run(solver, "on", w0);
+  double sum = 0.0;
+  for (std::size_t n = 0; n < fed.num_devices(); ++n) {
+    util::Rng rng = util::fork(opts.seed, n + 1, 1, util::stream::kSampling);
+    sum += solver.solve(fed.train[n], w0, rng).measured_theta;
+  }
+  const double want = sum / static_cast<double>(fed.num_devices());
+  ASSERT_EQ(on.rounds.size(), 3u);
+  EXPECT_GT(want, 0.0);
+  EXPECT_EQ(on.rounds[0].mean_local_theta, want);
+  for (const auto& r : on.rounds) EXPECT_GT(r.mean_local_theta, 0.0);
 }
 
 }  // namespace

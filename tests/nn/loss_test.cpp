@@ -103,6 +103,46 @@ TEST(SoftmaxCrossEntropyBackward, MatchesFiniteDifferences) {
   }
 }
 
+TEST(SoftmaxCrossEntropy, InvariantToPerRowLogitShift) {
+  // softmax(z + c·1) = softmax(z): adding a constant to one sample's logits
+  // changes neither its loss nor its gradient.
+  Rng rng(7);
+  const std::size_t batch = 3, classes = 4;
+  std::vector<double> logits(batch * classes);
+  for (auto& v : logits) v = rng.normal(0.0, 3.0);
+  const std::vector<int> labels = {3, 0, 2};
+  const double shifts[batch] = {50.0, -30.0, 7.25};
+  std::vector<double> shifted = logits;
+  for (std::size_t i = 0; i < batch; ++i) {
+    for (std::size_t j = 0; j < classes; ++j) {
+      shifted[i * classes + j] += shifts[i];
+    }
+  }
+  const double loss = softmax_cross_entropy(batch, classes, logits, labels);
+  EXPECT_NEAR(softmax_cross_entropy(batch, classes, shifted, labels), loss,
+              1e-12 * loss);
+  std::vector<double> d(batch * classes), d_shifted(batch * classes);
+  (void)softmax_cross_entropy_backward(batch, classes, logits, labels, d);
+  (void)softmax_cross_entropy_backward(batch, classes, shifted, labels,
+                                       d_shifted);
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    EXPECT_NEAR(d_shifted[i], d[i], 1e-13) << i;
+  }
+}
+
+TEST(SoftmaxCrossEntropyBackward, HugeLogitsGiveExactProbabilities) {
+  // exp(1000) overflows; the max-shifted softmax still gives p = (½, ½, 0).
+  const std::vector<double> logits = {1000.0, 1000.0, -1000.0};
+  const std::vector<int> labels = {0};
+  std::vector<double> d(3);
+  const double loss =
+      softmax_cross_entropy_backward(1, 3, logits, labels, d);
+  EXPECT_NEAR(loss, std::log(2.0), 1e-12);
+  EXPECT_NEAR(d[0], -0.5, 1e-12);
+  EXPECT_NEAR(d[1], 0.5, 1e-12);
+  EXPECT_NEAR(d[2], 0.0, 1e-12);
+}
+
 TEST(SoftmaxCrossEntropyBackward, GradientAtLabelIsNegative) {
   const std::vector<double> logits = {0, 0, 0};
   const std::vector<int> labels = {1};

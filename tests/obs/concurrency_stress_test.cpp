@@ -1,8 +1,8 @@
 // Concurrency stress for the lock-free observability primitives. These
 // tests exist primarily for the ThreadSanitizer build (-DFEDVR_SANITIZE=
 // thread): they hammer every relaxed-atomic site — the enable flag, sharded
-// counters, the gauge CAS loop, histogram recording, registry registration,
-// and the pool's own obs counters — from many threads at once, so a
+// counters, the gauge CAS loop, registry registration, and the pool's own
+// obs counters — from many threads at once, so a
 // regression that introduces a real data race is flagged by TSan here even
 // if the functional suites happen not to interleave the racy way.
 #include <gtest/gtest.h>
@@ -27,21 +27,19 @@ class ConcurrencyStressTest : public ::testing::Test {
   bool prev_ = false;
 };
 
-TEST_F(ConcurrencyStressTest, CounterGaugeHistogramUnderContention) {
+TEST_F(ConcurrencyStressTest, CounterGaugeUnderContention) {
   Registry reg;
   Counter& c = reg.counter("stress.counter");
   Gauge& g = reg.gauge("stress.gauge");
-  Histogram& h = reg.histogram("stress.hist", {0.25, 0.5, 0.75});
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kIters = 5000;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
+    threads.emplace_back([&] {
       for (std::size_t i = 0; i < kIters; ++i) {
         c.add(1);
         g.add(1.0);
-        h.record(static_cast<double>((t + i) % 4) * 0.25);
         if (i % 64 == 0) {
           (void)c.value();  // concurrent reads while writers are active
           (void)g.value();
@@ -53,8 +51,6 @@ TEST_F(ConcurrencyStressTest, CounterGaugeHistogramUnderContention) {
   // Joins give the happens-before edge: totals must now be exact.
   EXPECT_EQ(c.value(), kThreads * kIters);
   EXPECT_DOUBLE_EQ(g.value(), static_cast<double>(kThreads * kIters));
-  const auto snap = h.snapshot();
-  EXPECT_EQ(snap.count, kThreads * kIters);
 }
 
 TEST_F(ConcurrencyStressTest, RegistrationRacesResolveToOneMetric) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "util/error.h"
@@ -63,88 +68,106 @@ TEST_F(RegistryTest, GaugeSetAddUnderThreadPool) {
   EXPECT_DOUBLE_EQ(g.value(), 10.0);
 }
 
-TEST_F(RegistryTest, HistogramBucketSemantics) {
-  Registry reg;
-  Histogram& h = reg.histogram("h", {1.0, 2.0, 5.0});
-  // Upper edges are inclusive: v <= bound lands in the bucket.
-  h.record(0.5);
-  h.record(1.0);
-  h.record(1.5);
-  h.record(5.0);
-  h.record(7.0);  // overflow
-  const auto s = h.snapshot();
-  ASSERT_EQ(s.counts.size(), 4u);
-  EXPECT_EQ(s.counts[0], 2u);
-  EXPECT_EQ(s.counts[1], 1u);
-  EXPECT_EQ(s.counts[2], 1u);
-  EXPECT_EQ(s.counts[3], 1u);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.sum, 15.0);
-}
-
-TEST_F(RegistryTest, HistogramTotalsExactUnderThreadPool) {
-  Registry reg;
-  Histogram& h = reg.histogram("ph", {0.25, 0.5, 1.0});
-  ThreadPool pool(4);
-  constexpr std::size_t kIters = 8000;
-  pool.parallel_for(0, kIters, [&](std::size_t i) {
-    h.record(static_cast<double>(i % 4) * 0.25);  // 0, .25, .5, .75
-  });
-  const auto s = h.snapshot();
-  EXPECT_EQ(s.count, kIters);
-  EXPECT_EQ(s.counts[0], kIters / 2);  // 0 and 0.25
-  EXPECT_EQ(s.counts[1], kIters / 4);  // 0.5
-  EXPECT_EQ(s.counts[2], kIters / 4);  // 0.75
-  EXPECT_EQ(s.counts[3], 0u);
-  EXPECT_DOUBLE_EQ(s.sum, static_cast<double>(kIters / 4) * 1.5);
-}
-
-TEST_F(RegistryTest, HistogramValidatesBounds) {
-  Registry reg;
-  EXPECT_THROW((void)reg.histogram("empty", {}), Error);
-  EXPECT_THROW((void)reg.histogram("bad", {2.0, 1.0}), Error);
-  (void)reg.histogram("ok", {1.0, 2.0});
-  EXPECT_THROW((void)reg.histogram("ok", {3.0, 4.0}), Error);
-  EXPECT_NO_THROW((void)reg.histogram("ok", {}));  // reuse registered bounds
-}
-
 TEST_F(RegistryTest, NameCannotChangeMetricType) {
   Registry reg;
   (void)reg.counter("metric");
   EXPECT_THROW((void)reg.gauge("metric"), Error);
-  EXPECT_THROW((void)reg.histogram("metric", {1.0}), Error);
+}
+
+TEST_F(RegistryTest, GaugeNameCannotBecomeCounter) {
+  Registry reg;
+  reg.gauge("metric").set(4.0);
+  EXPECT_THROW((void)reg.counter("metric"), Error);
+  // The refused registration leaves the registry as it was.
+  const auto s = reg.snapshot();
+  EXPECT_TRUE(s.counters.empty());
+  ASSERT_EQ(s.gauges.size(), 1u);
+  EXPECT_EQ(s.gauges[0].name, "metric");
+  EXPECT_DOUBLE_EQ(s.gauges[0].value, 4.0);
+}
+
+TEST_F(RegistryTest, SnapshotListsMetricsInNameOrder) {
+  Registry reg;
+  reg.counter("zeta").add(1);
+  reg.counter("alpha").add(2);
+  reg.counter("mid").add(3);
+  reg.gauge("z.depth").set(0.5);
+  reg.gauge("a.depth").set(0.25);
+  const auto s = reg.snapshot();
+  ASSERT_EQ(s.counters.size(), 3u);
+  EXPECT_EQ(s.counters[0].name, "alpha");
+  EXPECT_EQ(s.counters[1].name, "mid");
+  EXPECT_EQ(s.counters[2].name, "zeta");
+  EXPECT_EQ(s.counters[0].value, 2u);
+  ASSERT_EQ(s.gauges.size(), 2u);
+  EXPECT_EQ(s.gauges[0].name, "a.depth");
+  EXPECT_EQ(s.gauges[1].name, "z.depth");
+  // Counters come first in the JSONL, each group in name order.
+  std::ostringstream os;
+  s.write_jsonl(os);
+  EXPECT_EQ(os.str(),
+            "{\"type\":\"counter\",\"name\":\"alpha\",\"value\":2}\n"
+            "{\"type\":\"counter\",\"name\":\"mid\",\"value\":3}\n"
+            "{\"type\":\"counter\",\"name\":\"zeta\",\"value\":1}\n"
+            "{\"type\":\"gauge\",\"name\":\"a.depth\",\"value\":0.25}\n"
+            "{\"type\":\"gauge\",\"name\":\"z.depth\",\"value\":0.5}\n");
+}
+
+TEST_F(RegistryTest, JsonlValuesRoundTripExactly) {
+  Registry reg;
+  reg.counter("big").add(std::numeric_limits<std::uint64_t>::max());
+  const std::vector<double> values = {0.1, 1.0 / 3.0, -2.5e-310, 1e300, 2.0};
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    reg.gauge("g" + std::to_string(i)).set(values[i]);
+  }
+  std::ostringstream os;
+  reg.snapshot().write_jsonl(os);
+  std::istringstream lines(os.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line,
+            "{\"type\":\"counter\",\"name\":\"big\","
+            "\"value\":18446744073709551615}");
+  const std::string key = "\"value\":";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    ASSERT_TRUE(std::getline(lines, line)) << "gauge " << i;
+    const std::size_t at = line.find(key);
+    ASSERT_NE(at, std::string::npos) << line;
+    const std::string text =
+        line.substr(at + key.size(), line.size() - at - key.size() - 1);
+    double parsed = 0.0;
+    const auto res =
+        std::from_chars(text.data(), text.data() + text.size(), parsed);
+    ASSERT_EQ(res.ec, std::errc()) << text;
+    EXPECT_EQ(res.ptr, text.data() + text.size()) << text;
+    EXPECT_EQ(parsed, values[i]) << text;
+  }
+  // Shortest round-trip form: no padding digits, no trailing ".0".
+  EXPECT_NE(os.str().find("\"name\":\"g0\",\"value\":0.1}"), std::string::npos);
+  EXPECT_NE(os.str().find("\"name\":\"g4\",\"value\":2}"), std::string::npos);
 }
 
 TEST_F(RegistryTest, SnapshotJsonlGoldenOutput) {
   Registry reg;
   reg.counter("requests").add(3);
   reg.gauge("depth").set(1.5);
-  Histogram& h = reg.histogram("latency", {1.0, 2.0});
-  h.record(0.5);
-  h.record(3.0);
   std::ostringstream os;
   reg.snapshot().write_jsonl(os);
   EXPECT_EQ(os.str(),
             "{\"type\":\"counter\",\"name\":\"requests\",\"value\":3}\n"
-            "{\"type\":\"gauge\",\"name\":\"depth\",\"value\":1.5}\n"
-            "{\"type\":\"histogram\",\"name\":\"latency\",\"count\":2,"
-            "\"sum\":3.5,\"buckets\":[{\"le\":1,\"count\":1},"
-            "{\"le\":2,\"count\":0},{\"le\":\"inf\",\"count\":1}]}\n");
+            "{\"type\":\"gauge\",\"name\":\"depth\",\"value\":1.5}\n");
 }
 
 TEST_F(RegistryTest, ResetValuesKeepsRegistrations) {
   Registry reg;
   reg.counter("c").add(5);
   reg.gauge("g").set(2.0);
-  reg.histogram("h", {1.0}).record(0.5);
   reg.reset_values();
   const auto s = reg.snapshot();
   ASSERT_EQ(s.counters.size(), 1u);
   EXPECT_EQ(s.counters[0].value, 0u);
   ASSERT_EQ(s.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(s.gauges[0].value, 0.0);
-  ASSERT_EQ(s.histograms.size(), 1u);
-  EXPECT_EQ(s.histograms[0].data.count, 0u);
 }
 
 TEST_F(RegistryTest, ObsCountMacroRespectsEnableFlag) {

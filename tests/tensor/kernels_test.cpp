@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/error.h"
@@ -166,41 +168,6 @@ TEST(Gemv, WrongVectorLengthThrows) {
   EXPECT_THROW(gemv(Trans::kNo, 2, 2, 1.0, a, x, 0.0, y), Error);
 }
 
-TEST(Softmax, RowsSumToOne) {
-  Rng rng(7);
-  const std::size_t rows = 5, cols = 9;
-  std::vector<double> logits(rows * cols);
-  for (auto& v : logits) v = rng.normal(0.0, 3.0);
-  std::vector<double> probs(rows * cols);
-  softmax_rows(rows, cols, logits, probs);
-  for (std::size_t i = 0; i < rows; ++i) {
-    double sum = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) {
-      EXPECT_GT(probs[i * cols + j], 0.0);
-      sum += probs[i * cols + j];
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-12);
-  }
-}
-
-TEST(Softmax, IsStableForHugeLogits) {
-  const std::vector<double> logits = {1000.0, 1000.0, -1000.0};
-  std::vector<double> probs(3);
-  softmax_rows(1, 3, logits, probs);
-  EXPECT_NEAR(probs[0], 0.5, 1e-12);
-  EXPECT_NEAR(probs[1], 0.5, 1e-12);
-  EXPECT_NEAR(probs[2], 0.0, 1e-12);
-}
-
-TEST(Softmax, ShiftInvariance) {
-  const std::vector<double> a = {1.0, 2.0, 3.0};
-  const std::vector<double> b = {11.0, 12.0, 13.0};
-  std::vector<double> pa(3), pb(3);
-  softmax_rows(1, 3, a, pa);
-  softmax_rows(1, 3, b, pb);
-  for (int j = 0; j < 3; ++j) EXPECT_NEAR(pa[j], pb[j], 1e-12);
-}
-
 TEST(ArgmaxRows, PicksFirstMaximum) {
   const std::vector<double> x = {0, 5, 5, 1,   // -> 1 (first of ties)
                                  9, 2, 3, 4};  // -> 0
@@ -227,6 +194,88 @@ TEST(SumRows, ComputesColumnSums) {
   EXPECT_DOUBLE_EQ(g[0], 5);
   EXPECT_DOUBLE_EQ(g[1], 7);
   EXPECT_DOUBLE_EQ(g[2], 9);
+}
+
+// The conv2d backward helpers. Shapes straddle the 16-element transpose
+// tile: smaller than one tile, exactly one, and ragged edges on both axes.
+struct RowsCols {
+  std::size_t rows, cols;
+};
+constexpr RowsCols kTileShapes[] = {{1, 1}, {3, 5}, {16, 16}, {17, 33},
+                                    {40, 7}};
+
+std::vector<double> normals(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.normal() * 100.0;
+  return v;
+}
+
+TEST(Transpose, MatchesIndexDefinitionAcrossTileEdges) {
+  for (const auto [rows, cols] : kTileShapes) {
+    const std::vector<double> in = normals(rows * cols, rows * 100 + cols);
+    std::vector<double> out(rows * cols, -1.0);
+    transpose(rows, cols, in, out);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        ASSERT_EQ(out[j * rows + i], in[i * cols + j])
+            << rows << "x" << cols << " at (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
+TEST(AddTransposed, AddsTransposeOntoExistingValues) {
+  for (const auto [rows, cols] : kTileShapes) {
+    // in is (cols x rows); out is (rows x cols) and keeps what it held.
+    const std::vector<double> in = normals(rows * cols, rows + cols);
+    const std::vector<double> before = normals(rows * cols, rows * cols);
+    std::vector<double> out = before;
+    add_transposed(rows, cols, in, out);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        ASSERT_EQ(out[i * cols + j], before[i * cols + j] + in[j * rows + i])
+            << rows << "x" << cols << " at (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
+TEST(AddRowSums, AddsAscendingRowSumsOntoExistingValues) {
+  // Magnitudes spread over six decades, so any other summation order
+  // rounds differently; the contract is the serial ascending one.
+  for (const std::size_t cols : {1, 7, 64, 257}) {
+    const std::size_t rows = 5;
+    std::vector<double> m = normals(rows * cols, cols);
+    for (std::size_t e = 0; e < m.size(); ++e) {
+      m[e] *= std::pow(10.0, static_cast<double>(e % 7) - 3.0);
+    }
+    const std::vector<double> before = normals(rows, cols + 1);
+    std::vector<double> out = before;
+    add_row_sums(rows, cols, m, out);
+    for (std::size_t i = 0; i < rows; ++i) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < cols; ++j) acc += m[i * cols + j];
+      EXPECT_EQ(out[i], before[i] + acc) << "cols=" << cols << " row " << i;
+    }
+  }
+}
+
+TEST(KernelShapes, RowHelpersRejectMismatchedExtents) {
+  if (!check::active()) GTEST_SKIP() << "fedvr::check inactive";
+  const std::vector<double> x6(6, 1.0);
+  std::vector<double> y6(6), y5(5), y3(3), y2(2);
+  std::vector<std::size_t> idx2(2), idx3(3);
+  // (2 x 3) matrices with one operand of the wrong extent.
+  EXPECT_THROW(argmax_rows(2, 3, x6, idx3), Error);
+  EXPECT_THROW(argmax_rows(2, 3, std::span<const double>(x6).first(5), idx2),
+               Error);
+  EXPECT_THROW(add_bias_rows(2, 3, y6, y2), Error);
+  EXPECT_THROW(add_bias_rows(2, 3, y5, y3), Error);
+  EXPECT_THROW(sum_rows(2, 3, x6, y2), Error);
+  EXPECT_THROW(transpose(2, 3, x6, y5), Error);
+  EXPECT_THROW(add_transposed(2, 3, x6, y5), Error);
+  EXPECT_THROW(add_row_sums(2, 3, x6, y3), Error);
 }
 
 }  // namespace

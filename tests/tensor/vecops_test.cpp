@@ -32,14 +32,6 @@ TEST(Vecops, AxpySizeMismatchThrows) {
   EXPECT_THROW(axpy(1.0, x, y), Error);
 }
 
-TEST(Vecops, AxpbyBlends) {
-  const std::vector<double> x = {4, 8};
-  std::vector<double> y = {1, 1};
-  axpby(0.5, x, 2.0, y);
-  EXPECT_DOUBLE_EQ(y[0], 4);  // 0.5*4 + 2*1
-  EXPECT_DOUBLE_EQ(y[1], 6);
-}
-
 TEST(Vecops, ScalMultiplies) {
   std::vector<double> x = {1, -2, 3};
   scal(-2.0, x);

@@ -1,9 +1,8 @@
 // Fixture: path scoping of no-alloc-in-hot-loop — the rule covers
-// src/opt, src/tensor, src/core, and the per-round event-loop files
-// src/fl/event_engine.* / src/fl/hierarchy.* (see event_engine.cpp in this
-// directory). Other orchestration code in src/fl may allocate per round
-// (the trainer's round loop is not the per-sample hot path), so every line
-// here must stay quiet.
+// src/opt, src/tensor, src/core, and the per-round engine files
+// src/fl/trainer.* / src/fl/hierarchy.* (see trainer.cpp in this
+// directory). Other code in src/fl may allocate per round (it is not the
+// per-participant hot path), so every line here must stay quiet.
 #include "util/fixture_prelude.h"
 
 namespace fedvr::fl {

@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <numeric>
 #include <set>
+#include <span>
 #include <vector>
 
 namespace fedvr::util {
@@ -161,46 +164,6 @@ TEST(Rng, SampleWithoutReplacementTooManyThrows) {
   EXPECT_THROW((void)rng.sample_without_replacement(3, 4), Error);
 }
 
-TEST(Rng, CategoricalRespectsWeights) {
-  Rng rng(41);
-  const std::vector<double> w = {0.0, 3.0, 1.0};
-  std::vector<int> counts(3, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) counts[rng.categorical(w)]++;
-  EXPECT_EQ(counts[0], 0);
-  EXPECT_NEAR(static_cast<double>(counts[1]) / n, 0.75, 0.01);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.25, 0.01);
-}
-
-TEST(Rng, CategoricalRejectsBadWeights) {
-  Rng rng(43);
-  const std::vector<double> zero = {0.0, 0.0};
-  EXPECT_THROW((void)rng.categorical(zero), Error);
-  const std::vector<double> negative = {1.0, -0.5};
-  EXPECT_THROW((void)rng.categorical(negative), Error);
-  EXPECT_THROW((void)rng.categorical({}), Error);
-}
-
-TEST(Rng, CategoricalNeverReturnsZeroWeightIndex) {
-  // Regression: the fallthrough used to clamp to weights.size() - 1 and the
-  // scan could select a zero-weight index when fp rounding walked the
-  // residual negative. With trailing (and interior) zero weights, a
-  // zero-probability index must never come back — under any draw.
-  Rng rng(47);
-  const std::vector<double> w = {0.1, 0.0, 1e-17, 0.0, 0.0};
-  for (int i = 0; i < 200000; ++i) {
-    const std::size_t idx = rng.categorical(w);
-    ASSERT_TRUE(idx == 0 || idx == 2) << "drew zero-weight index " << idx;
-  }
-  // Degenerate single-support distributions, mass at either end.
-  const std::vector<double> only_last = {0.0, 0.0, 2.0};
-  const std::vector<double> only_first = {2.0, 0.0, 0.0};
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(rng.categorical(only_last), 2u);
-    EXPECT_EQ(rng.categorical(only_first), 0u);
-  }
-}
-
 TEST(Rng, SampleSubsetSortedIsDistinctSortedInRange) {
   Rng rng(53);
   std::vector<std::size_t> out;
@@ -253,6 +216,118 @@ TEST(Rng, SampleSubsetSortedCostIsIndependentOfPopulation) {
   rng.sample_subset_sorted(1'000'000'000, 10, out);
   ASSERT_EQ(out.size(), 10u);
   for (auto v : out) EXPECT_LT(v, 1'000'000'000u);
+}
+
+TEST(Rng, MatchesXoshiro256StarStarReference) {
+  // Blackman & Vigna's reference next(), seeded with four SplitMix64 words
+  // of the seed, written out independently of the class.
+  const auto rotl = [](std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  };
+  for (const std::uint64_t seed : {0ULL, 42ULL, 0xFFFFFFFFFFFFFFFFULL}) {
+    std::uint64_t sm = seed;
+    std::uint64_t s[4];
+    for (auto& word : s) word = splitmix64(sm);
+    Rng rng(seed);
+    for (int i = 0; i < 1000; ++i) {
+      const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+      const std::uint64_t t = s[1] << 17;
+      s[2] ^= s[0];
+      s[3] ^= s[1];
+      s[1] ^= s[2];
+      s[0] ^= s[3];
+      s[2] ^= t;
+      s[3] = rotl(s[3], 45);
+      ASSERT_EQ(rng(), result) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Rng, ReseedAlsoRestartsNormalSequence) {
+  // normal() draws its variates in pairs and caches the second; reseeding
+  // must drop that cache too, or the first normal after a reseed would
+  // come from the old stream.
+  Rng a(41);
+  const double first = a.normal();
+  const double second = a.normal();
+  (void)a.normal();  // leaves the pair's second variate cached
+  a.reseed(41);
+  EXPECT_EQ(a.normal(), first);
+  EXPECT_EQ(a.normal(), second);
+  Rng fresh(41);
+  (void)fresh.normal();
+  (void)fresh.normal();
+  EXPECT_EQ(a(), fresh());
+}
+
+TEST(Rng, BelowIsUnbiasedForABoundAboveTwoToThe63) {
+  // n = 3·2^62: without the rejection step, multiply-shift maps two 64-bit
+  // words onto every multiple of 3 and one onto each other value, so half
+  // the draws, not a third, would be multiples of 3.
+  constexpr std::uint64_t n = 3ULL << 62;
+  Rng rng(71);
+  constexpr int draws = 60000;
+  int multiples_of_three = 0;
+  int upper_third = 0;
+  for (int i = 0; i < draws; ++i) {
+    const std::uint64_t v = rng.below(n);
+    ASSERT_LT(v, n);
+    multiples_of_three += (v % 3 == 0);
+    upper_third += (v >= (2ULL << 62));
+  }
+  EXPECT_NEAR(static_cast<double>(multiples_of_three) / draws, 1.0 / 3.0,
+              0.01);
+  EXPECT_NEAR(static_cast<double>(upper_third) / draws, 1.0 / 3.0, 0.01);
+}
+
+TEST(Rng, ShuffleIsUniformOverPermutations) {
+  // Fisher–Yates reaches each of the 3! orders with probability 1/6.
+  // Sattolo's variant (never swapping an element with itself) reaches only
+  // the two 3-cycles, and the naive "swap with any index" loop favours
+  // three orders 5:4.
+  Rng rng(73);
+  constexpr int trials = 60000;
+  std::map<std::vector<int>, int> counts;
+  for (int t = 0; t < trials; ++t) {
+    std::vector<int> xs = {0, 1, 2};
+    rng.shuffle(std::span<int>(xs));
+    counts[xs]++;
+  }
+  ASSERT_EQ(counts.size(), 6u);
+  for (const auto& [order, c] : counts) {
+    EXPECT_NEAR(c, trials / 6.0, 0.04 * trials / 6.0)
+        << order[0] << order[1] << order[2];
+  }
+}
+
+TEST(Rng, SampleWithoutReplacementIsUnbiased) {
+  // Selection sampling includes every index with probability k/n.
+  Rng rng(79);
+  constexpr std::size_t n = 20, k = 5;
+  constexpr int trials = 40000;
+  std::vector<int> counts(n, 0);
+  for (int t = 0; t < trials; ++t) {
+    for (auto v : rng.sample_without_replacement(n, k)) counts[v]++;
+  }
+  const double expected = static_cast<double>(trials) * k / n;
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(counts[i], expected, 0.05 * expected) << "index " << i;
+  }
+}
+
+TEST(Rng, LognormalLogHasRequestedMoments) {
+  Rng rng(83);
+  constexpr double mu = 0.5, sigma = 1.5;
+  constexpr int n = 200000;
+  double sum = 0.0, sumsq = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double z = std::log(rng.lognormal(mu, sigma));
+    sum += z;
+    sumsq += z * z;
+  }
+  const double mean = sum / n;
+  EXPECT_NEAR(mean, mu, 0.02);
+  EXPECT_NEAR(sumsq / n - mean * mean, sigma * sigma, 0.05);
 }
 
 TEST(Fork, SameCoordinatesSameStream) {

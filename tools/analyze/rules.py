@@ -46,10 +46,11 @@ WALLCLOCK_EXEMPT = ("src/obs/", "src/util/stopwatch.h")
 
 # Directories/files whose loops are per-round / per-iteration hot paths: a
 # heap allocation inside one multiplies by rounds × devices × iterations.
-# The event-engine files run once per round over every participant, so they
-# are held to the same standard as the solvers.
+# The round engine (trainer.*) and the tree aggregator run once per round
+# over every participant, so they are held to the same standard as the
+# solvers.
 HOT_LOOP_DIRS = ("src/opt/", "src/tensor/", "src/core/",
-                 "src/fl/event_engine.", "src/fl/hierarchy.")
+                 "src/fl/trainer.", "src/fl/hierarchy.")
 
 
 def _under(path: str, prefixes: tuple[str, ...]) -> bool:
