@@ -120,6 +120,42 @@ BENCHMARK(BM_GemmDenseShape)
     ->Arg(2)   // dW, batch 32
     ->UseRealTime();
 
+// The small-product GEMMs (m * n * k < 32^3) of a 60 -> 10 Dense layer, the
+// logistic model of fleet_sampled and the ProxSkip-VR probe. Range(0)
+// selects the call: 0 = forward y = x W^T at batch 8 (8 x 10 x 60), 1 = dW
+// += dy^T x at batch 8 (10 x 60 x 8), 2 = the forward over a 25-sample eval
+// shard (25 x 10 x 60).
+void BM_GemmSmallShape(benchmark::State& state) {
+  constexpr std::size_t in = 60, out = 10;
+  const bool dw = state.range(0) == 1;
+  const std::size_t batch = state.range(0) == 2 ? 25 : 8;
+  const std::size_t m = dw ? out : batch;
+  const std::size_t n = dw ? in : out;
+  const std::size_t k = dw ? batch : in;
+  util::Rng rng(7);
+  std::vector<double> a(m * k), b(k * n), c(m * n);
+  for (auto& v : a) v = rng.normal();
+  for (auto& v : b) v = rng.normal();
+  for (auto _ : state) {
+    if (dw) {
+      tensor::gemm_packed(tensor::Trans::kYes, tensor::Trans::kNo, m, n, k,
+                          1.0, a, b, 1.0, c);
+    } else {
+      tensor::gemm_packed(tensor::Trans::kNo, tensor::Trans::kYes, m, n, k,
+                          1.0, a, b, 0.0, c);
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * m * n * k));
+}
+BENCHMARK(BM_GemmSmallShape)
+    ->Arg(0)   // forward, batch 8
+    ->Arg(1)   // dW, batch 8
+    ->Arg(2)   // forward, eval shard of 25
+    ->UseRealTime();
+
 // Same 256^3 GEMM with the global pool pinned to range(1) threads (0 =
 // hardware default), to expose the threaded-vs-serial kernel speedup.
 // reset_global is safe here: benchmarks run one at a time, nothing else is

@@ -243,8 +243,13 @@ Message Message::encode_sparse(std::size_t dim,
 }
 
 Message Message::encode_nonzeros(std::span<const double> delta, DType dtype) {
+  // Counted first so each buffer is allocated once.
+  const auto kept = static_cast<std::size_t>(std::count_if(
+      delta.begin(), delta.end(), [](double v) { return v != 0.0; }));
   std::vector<std::uint32_t> indices;
   std::vector<double> values;
+  indices.reserve(kept);
+  values.reserve(kept);
   for (std::size_t i = 0; i < delta.size(); ++i) {
     if (delta[i] != 0.0) {
       indices.push_back(static_cast<std::uint32_t>(i));

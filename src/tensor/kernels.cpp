@@ -50,7 +50,7 @@ constexpr std::size_t kKc = 256;
 constexpr std::size_t kNc = 256;
 
 // Below this m*n*k volume the pack + dispatch overhead of the blocked path
-// outweighs its cache wins; a packed triple loop runs instead. Selection
+// outweighs its cache wins; the small-product path runs instead. Selection
 // depends only on the shape, never on the pool, so it cannot perturb
 // determinism.
 constexpr std::size_t kBlockedMinVolume = 32 * 32 * 32;
@@ -61,40 +61,44 @@ inline double op_at(Trans trans, std::span<const double> m, std::size_t ld,
   return trans == Trans::kNo ? m[i * ld + p] : m[p * ld + i];
 }
 
-// C (m x n, row stride ldc) += alpha * A (m x k, packed) * B (k x n, packed),
-// where A and B have already been materialized in non-transposed packed
-// layout. ikj loop order keeps B and C accesses unit-stride.
-FEDVR_KERNEL_CLONES
-void gemm_core(std::size_t m, std::size_t n, std::size_t k, double alpha,
-               const double* a, const double* b, std::span<double> c,
-               std::size_t ldc) {
-  for (std::size_t i = 0; i < m; ++i) {
-    double* c_row = c.data() + i * ldc;
-    const double* a_row = a + i * k;
-    for (std::size_t p = 0; p < k; ++p) {
-      const double a_ip = alpha * a_row[p];
-      const double* b_row = b + p * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        c_row[j] += a_ip * b_row[j];
-      }
+// Packs the transpose of a stored (cols x rows) matrix with row stride ld
+// into `out` as a (rows x cols) row-major matrix. `out` is caller-provided
+// (arena) storage of exactly rows * cols doubles.
+void pack_transposed(std::size_t rows, std::size_t cols,
+                     std::span<const double> src, std::size_t ld,
+                     std::span<double> out) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      out[i * cols + j] = src[j * ld + i];
     }
   }
 }
 
-// Packs op(M) into `out` as a (rows x cols) row-major matrix. `out` is
-// caller-provided (arena) storage of exactly rows * cols doubles.
-void pack(Trans trans, std::size_t rows, std::size_t cols,
-          std::span<const double> src, std::size_t ld, std::span<double> out) {
-  if (trans == Trans::kNo) {
-    for (std::size_t i = 0; i < rows; ++i) {
-      const double* s = src.data() + i * ld;
-      std::copy(s, s + cols, out.data() + i * cols);
-    }
-  } else {
-    // Stored matrix is (cols x rows) with row stride ld; emit its transpose.
-    for (std::size_t i = 0; i < rows; ++i) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        out[i * cols + j] = src[j * ld + i];
+// ---- Small-product path (m * n * k below kBlockedMinVolume) ----
+//
+// C (m x n) += alpha * A (m x k) * B (k x n), both operands untransposed
+// (gemm packs a transposed one first). Arithmetic, the same in every variant
+// and at every tile position: each element starts from the beta-scaled C and
+// takes c = fma(alpha * a_ip, b_pj, c) for p ascending, alpha * a_ip rounded
+// first. The AVX-512 and AVX2 variants hold a tile of rows x column vectors
+// of C in registers and mask the column edge; a row edge runs a shorter tile
+// of the same loop, so an element's bits never depend on which tile it lands
+// in or which rows share its call.
+constexpr std::size_t kSmallTi = 4;  // rows per full tile; edges run 1-3
+
+// One element at a time. Without hardware FMA, std::fma is a libm call: this
+// variant is for builds without target attributes and pre-AVX2 hosts.
+void gemm_small_portable(std::size_t m, std::size_t n, std::size_t k,
+                         double alpha, const double* a, std::size_t lda,
+                         const double* b, std::size_t ldb, double* c,
+                         std::size_t ldc) {
+  for (std::size_t i = 0; i < m; ++i) {
+    double* c_row = c + i * ldc;
+    for (std::size_t p = 0; p < k; ++p) {
+      const double a_ip = alpha * a[i * lda + p];
+      const double* b_row = b + p * ldb;
+      for (std::size_t j = 0; j < n; ++j) {
+        c_row[j] = std::fma(a_ip, b_row[j], c_row[j]);
       }
     }
   }
@@ -273,6 +277,31 @@ constexpr std::size_t kAtbTiAvx2 = 5;      // 5 rows x 8 columns, 10 ymm
 constexpr std::size_t kAtbTvAvx2 = 2;
 constexpr std::size_t kAtbTiAvx512 = 5;  // 5 rows x 24 columns, 15 zmm
 constexpr std::size_t kAtbTvAvx512 = 3;
+constexpr std::size_t kSmallTvAvx2 = 2;    // 4 rows x 8 columns, 8 ymm
+constexpr std::size_t kSmallTvAvx512 = 2;  // 4 rows x 16 columns, 8 zmm
+
+// Lane masks of the TV 4-wide column vectors that cover `cols` columns.
+template <std::size_t TV>
+FEDVR_TARGET_AVX2 [[gnu::always_inline]] inline void column_masks_avx2(
+    std::size_t cols, __m256i (&mask)[TV]) {
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  for (std::size_t v = 0; v < TV; ++v) {
+    const long long live =
+        static_cast<long long>(cols) - static_cast<long long>(4 * v);
+    mask[v] = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), lane);
+  }
+}
+
+// Lane masks of the TV 8-wide column vectors that cover `cols` columns.
+template <std::size_t TV>
+FEDVR_TARGET_AVX512 [[gnu::always_inline]] inline void column_masks_avx512(
+    std::size_t cols, __mmask8 (&mask)[TV]) {
+  for (std::size_t v = 0; v < TV; ++v) {
+    const std::size_t live =
+        cols > 8 * v ? std::min<std::size_t>(8, cols - 8 * v) : 0;
+    mask[v] = static_cast<__mmask8>((1U << live) - 1);
+  }
+}
 
 // One dot-path tile: c points at its first C element, a and b at the
 // matching rows of A and B. Tile rows and columns past ti / tj re-read the
@@ -430,13 +459,8 @@ FEDVR_TARGET_AVX2 [[gnu::always_inline]] inline void atb_block_avx2(
     double* c, std::size_t ldc) {
   constexpr std::size_t TI = kAtbTiAvx2;
   constexpr std::size_t TV = kAtbTvAvx2;
-  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
   __m256i mask[TV];
-  for (std::size_t v = 0; v < TV; ++v) {
-    const long long live =
-        static_cast<long long>(cols) - static_cast<long long>(4 * v);
-    mask[v] = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), lane);
-  }
+  column_masks_avx2(cols, mask);
   std::size_t row[TI];
   for (std::size_t i = 0; i < TI; ++i) row[i] = std::min(i, ti - 1);
   __m256d acc[TI][TV];
@@ -490,11 +514,7 @@ FEDVR_TARGET_AVX512 [[gnu::always_inline]] inline void atb_block_avx512(
   constexpr std::size_t TI = kAtbTiAvx512;
   constexpr std::size_t TV = kAtbTvAvx512;
   __mmask8 mask[TV];
-  for (std::size_t v = 0; v < TV; ++v) {
-    const std::size_t live =
-        cols > 8 * v ? std::min<std::size_t>(8, cols - 8 * v) : 0;
-    mask[v] = static_cast<__mmask8>((1U << live) - 1);
-  }
+  column_masks_avx512(cols, mask);
   std::size_t row[TI];
   for (std::size_t i = 0; i < TI; ++i) row[i] = std::min(i, ti - 1);
   __m512d acc[TI][TV];
@@ -542,17 +562,148 @@ void gemm_atb_avx512(std::size_t m, std::size_t n, std::size_t k,
     }
   }
 }
+
+// One small-path tile: TI rows x `cols` columns of C, c pointing at its
+// first element, a at the matching row of A, b at the matching column of B.
+// Columns past `cols` are masked out of every load and store.
+template <std::size_t TI>
+FEDVR_TARGET_AVX2 [[gnu::always_inline]] inline void small_block_avx2(
+    std::size_t cols, std::size_t k, double alpha, const double* a,
+    std::size_t lda, const double* b, std::size_t ldb, double* c,
+    std::size_t ldc) {
+  constexpr std::size_t TV = kSmallTvAvx2;
+  __m256i mask[TV];
+  column_masks_avx2(cols, mask);
+  __m256d acc[TI][TV];
+  for (std::size_t i = 0; i < TI; ++i) {
+    for (std::size_t v = 0; v < TV; ++v) {
+      acc[i][v] = _mm256_maskload_pd(c + i * ldc + 4 * v, mask[v]);
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    __m256d bv[TV];
+    for (std::size_t v = 0; v < TV; ++v) {
+      bv[v] = _mm256_maskload_pd(b + p * ldb + 4 * v, mask[v]);
+    }
+    for (std::size_t i = 0; i < TI; ++i) {
+      const __m256d av = _mm256_set1_pd(alpha * a[i * lda + p]);
+      for (std::size_t v = 0; v < TV; ++v) {
+        acc[i][v] = _mm256_fmadd_pd(av, bv[v], acc[i][v]);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < TI; ++i) {
+    for (std::size_t v = 0; v < TV; ++v) {
+      _mm256_maskstore_pd(c + i * ldc + 4 * v, mask[v], acc[i][v]);
+    }
+  }
+}
+
+FEDVR_TARGET_AVX2
+void gemm_small_avx2(std::size_t m, std::size_t n, std::size_t k,
+                     double alpha, const double* a, std::size_t lda,
+                     const double* b, std::size_t ldb, double* c,
+                     std::size_t ldc) {
+  constexpr std::size_t width = 4 * kSmallTvAvx2;
+  for (std::size_t j0 = 0; j0 < n; j0 += width) {
+    const std::size_t cols = std::min(width, n - j0);
+    std::size_t i0 = 0;
+    for (; i0 + kSmallTi <= m; i0 += kSmallTi) {
+      small_block_avx2<kSmallTi>(cols, k, alpha, a + i0 * lda, lda, b + j0,
+                                 ldb, c + i0 * ldc + j0, ldc);
+    }
+    const double* ap = a + i0 * lda;
+    double* cp = c + i0 * ldc + j0;
+    switch (m - i0) {
+      case 3:
+        small_block_avx2<3>(cols, k, alpha, ap, lda, b + j0, ldb, cp, ldc);
+        break;
+      case 2:
+        small_block_avx2<2>(cols, k, alpha, ap, lda, b + j0, ldb, cp, ldc);
+        break;
+      case 1:
+        small_block_avx2<1>(cols, k, alpha, ap, lda, b + j0, ldb, cp, ldc);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
+template <std::size_t TI>
+FEDVR_TARGET_AVX512 [[gnu::always_inline]] inline void small_block_avx512(
+    std::size_t cols, std::size_t k, double alpha, const double* a,
+    std::size_t lda, const double* b, std::size_t ldb, double* c,
+    std::size_t ldc) {
+  constexpr std::size_t TV = kSmallTvAvx512;
+  __mmask8 mask[TV];
+  column_masks_avx512(cols, mask);
+  __m512d acc[TI][TV];
+  for (std::size_t i = 0; i < TI; ++i) {
+    for (std::size_t v = 0; v < TV; ++v) {
+      acc[i][v] = _mm512_maskz_loadu_pd(mask[v], c + i * ldc + 8 * v);
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    __m512d bv[TV];
+    for (std::size_t v = 0; v < TV; ++v) {
+      bv[v] = _mm512_maskz_loadu_pd(mask[v], b + p * ldb + 8 * v);
+    }
+    for (std::size_t i = 0; i < TI; ++i) {
+      const __m512d av = _mm512_set1_pd(alpha * a[i * lda + p]);
+      for (std::size_t v = 0; v < TV; ++v) {
+        acc[i][v] = _mm512_fmadd_pd(av, bv[v], acc[i][v]);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < TI; ++i) {
+    for (std::size_t v = 0; v < TV; ++v) {
+      _mm512_mask_storeu_pd(c + i * ldc + 8 * v, mask[v], acc[i][v]);
+    }
+  }
+}
+
+FEDVR_TARGET_AVX512
+void gemm_small_avx512(std::size_t m, std::size_t n, std::size_t k,
+                       double alpha, const double* a, std::size_t lda,
+                       const double* b, std::size_t ldb, double* c,
+                       std::size_t ldc) {
+  constexpr std::size_t width = 8 * kSmallTvAvx512;
+  for (std::size_t j0 = 0; j0 < n; j0 += width) {
+    const std::size_t cols = std::min(width, n - j0);
+    std::size_t i0 = 0;
+    for (; i0 + kSmallTi <= m; i0 += kSmallTi) {
+      small_block_avx512<kSmallTi>(cols, k, alpha, a + i0 * lda, lda, b + j0,
+                                   ldb, c + i0 * ldc + j0, ldc);
+    }
+    const double* ap = a + i0 * lda;
+    double* cp = c + i0 * ldc + j0;
+    switch (m - i0) {
+      case 3:
+        small_block_avx512<3>(cols, k, alpha, ap, lda, b + j0, ldb, cp, ldc);
+        break;
+      case 2:
+        small_block_avx512<2>(cols, k, alpha, ap, lda, b + j0, ldb, cp, ldc);
+        break;
+      case 1:
+        small_block_avx512<1>(cols, k, alpha, ap, lda, b + j0, ldb, cp, ldc);
+        break;
+      default:
+        break;
+    }
+  }
+}
 #endif  // FEDVR_KERNEL_HAS_CLONES
 
 // ---- ISA variants ----
 //
 // One variant per ISA level: the blocked path's register tile and
-// microkernel, the dot-path kernel, and the A^T*B kernel (nullptr: those
-// shapes stay blocked). gemm uses the host's best variant, fixed once per
-// process; builds without target attributes (sanitizers) have only the
-// portable one. The choice is per machine, never per run or per thread, so
-// it cannot perturb the determinism contract. detail::set_kernel_isa lets
-// tests run the others and compare their bits.
+// microkernel, the dot-path kernel, the A^T*B kernel (nullptr: those shapes
+// stay blocked) and the small-product kernel. gemm uses the host's best
+// variant, fixed once per process; builds without target attributes
+// (sanitizers) have only the portable one. The choice is per machine, never
+// per run or per thread, so it cannot perturb the determinism contract.
+// detail::set_kernel_isa lets tests run the others and compare their bits.
 using PathKernel = void(std::size_t m, std::size_t n, std::size_t k,
                         double alpha, const double* a, std::size_t lda,
                         const double* b, std::size_t ldb, double* c,
@@ -565,20 +716,22 @@ struct KernelShape {
                  std::size_t, std::size_t, std::size_t);
   PathKernel* dot;
   PathKernel* atb;
+  PathKernel* small;
 };
 
 KernelShape shape_for(detail::KernelIsa isa) {
   switch (isa) {
 #if defined(FEDVR_KERNEL_HAS_CLONES)
     case detail::KernelIsa::kAvx512:
-      return {kMrAvx512, kNrAvx512, micro_kernel_avx512, gemm_dot_avx512,
-              gemm_atb_avx512};
+      return {kMrAvx512,       kNrAvx512,      micro_kernel_avx512,
+              gemm_dot_avx512, gemm_atb_avx512, gemm_small_avx512};
     case detail::KernelIsa::kAvx2:
-      return {kMrAvx2, kNrAvx2, micro_kernel_avx2, gemm_dot_avx2,
-              gemm_atb_avx2};
+      return {kMrAvx2,       kNrAvx2,       micro_kernel_avx2,
+              gemm_dot_avx2, gemm_atb_avx2, gemm_small_avx2};
 #endif
     default:
-      return {kMrAvx2, kNrAvx2, micro_kernel_avx2, gemm_dot_portable, nullptr};
+      return {kMrAvx2,           kNrAvx2, micro_kernel_avx2,
+              gemm_dot_portable, nullptr, gemm_small_portable};
   }
 }
 
@@ -765,27 +918,26 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
     return;
   }
 
-  // Small-product path: pack operands into non-transposed layout. Simpler
-  // than four loop variants, and the packing cost is linear while the
-  // product is cubic. Pack storage comes from the per-thread arena scope.
+  // Small-product path: a transposed operand is packed into untransposed
+  // layout (linear cost against a cubic product) so one kernel serves all
+  // four combinations; an untransposed one is read in place. Pack storage
+  // comes from the per-thread arena scope.
   Workspace ws(scratch_arena());
-  const double* a_ptr;
-  const double* b_ptr;
-  if (trans_a == Trans::kNo && lda == k) {
-    a_ptr = a.data();
-  } else {
+  const double* a_ptr = a.data();
+  const double* b_ptr = b.data();
+  if (trans_a == Trans::kYes) {
     auto a_pack = ws.alloc<double>(m * k);
-    pack(trans_a, m, k, a, lda, a_pack);
+    pack_transposed(m, k, a, lda, a_pack);
     a_ptr = a_pack.data();
+    lda = k;
   }
-  if (trans_b == Trans::kNo && ldb == n) {
-    b_ptr = b.data();
-  } else {
+  if (trans_b == Trans::kYes) {
     auto b_pack = ws.alloc<double>(k * n);
-    pack(trans_b, k, n, b, ldb, b_pack);
+    pack_transposed(k, n, b, ldb, b_pack);
     b_ptr = b_pack.data();
+    ldb = n;
   }
-  gemm_core(m, n, k, alpha, a_ptr, b_ptr, c, ldc);
+  ks.small(m, n, k, alpha, a_ptr, lda, b_ptr, ldb, c.data(), ldc);
 }
 
 void gemm_packed(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,

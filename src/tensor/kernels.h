@@ -9,9 +9,9 @@
 // every C element is fixed by the blocking constants alone, never by the
 // thread partition, so results are bit-identical across pool sizes (the
 // determinism contract; see DESIGN.md §10). Two unpacked paths take
-// small-C dot products and small-m A^T*B products, and small products run
-// a packed triple loop; the selection depends only on the shape and the
-// transposes (DESIGN.md §15).
+// small-C dot products and small-m A^T*B products, and products below 32^3
+// flops run a register-tiled small-product kernel; the selection depends
+// only on the shape and the transposes (DESIGN.md §15).
 #pragma once
 
 #include <cstddef>

@@ -64,9 +64,10 @@ void ThreadPool::note_dequeued() {
 }
 
 // TSAN: all queue and stopping_ state is exchanged under mutex_, and
-// submit()'s std::future provides the release/acquire edge that publishes a
-// task's side effects to the waiter. The only lock-free traffic here is the
-// obs counters above, which are sharded atomics (see obs/registry.h).
+// submit()'s std::future (run_chunks: its batch mutex) provides the
+// release/acquire edge that publishes a task's side effects to the waiter.
+// The only lock-free traffic here is the obs counters above, which are
+// sharded atomics (see obs/registry.h).
 void ThreadPool::worker_loop() {
   tls_in_worker = true;
   for (;;) {
@@ -98,27 +99,64 @@ std::size_t ThreadPool::chunk_count(std::size_t begin, std::size_t end,
   return tls_in_worker ? 1 : std::min(max_chunks, (n + grain - 1) / grain);
 }
 
+void ThreadPool::enqueue(std::function<void()> task) {
+  note_enqueued();  // may throw (obs registry) before anything is queued
+  {
+    std::scoped_lock lock(mutex_);
+    tasks_.push(std::move(task));  // no effect if it throws
+  }
+  cv_.notify_one();
+}
+
 void ThreadPool::run_chunks(
     std::size_t begin, std::size_t end, std::size_t chunks,
     const std::function<void(std::size_t, std::size_t)>& fn) {
+  // The chunks call through `fn`, which lives in the caller's frame, so this
+  // call must not return or throw while a chunk it enqueued may still run:
+  // it waits until as many chunks have finished as were enqueued, also when
+  // an enqueue throws part way through the loop.
+  struct Batch {
+    std::mutex mutex;
+    std::condition_variable done;
+    std::size_t finished = 0;
+    std::size_t error_lo = 0;  // start of the lowest chunk that threw
+    std::exception_ptr error;
+  } batch;
+  std::size_t queued = 0;
+  std::exception_ptr enqueue_error;
   const std::size_t chunk_len = (end - begin + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t lo = begin + c * chunk_len;
     const std::size_t hi = std::min(end, lo + chunk_len);
     if (lo >= hi) break;
-    futures.push_back(submit([lo, hi, &fn] { fn(lo, hi); }));
-  }
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
     try {
-      f.get();
+      enqueue([lo, hi, &fn, &batch] {
+        std::exception_ptr error;
+        try {
+          fn(lo, hi);
+        } catch (...) {
+          error = std::current_exception();
+        }
+        // Notify under the lock: the caller destroys `batch` as soon as it
+        // sees the last chunk finished.
+        std::scoped_lock lock(batch.mutex);
+        if (error && (!batch.error || lo < batch.error_lo)) {
+          batch.error = error;
+          batch.error_lo = lo;
+        }
+        ++batch.finished;
+        batch.done.notify_all();
+      });
+      ++queued;
     } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+      enqueue_error = std::current_exception();
+      break;
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  std::unique_lock lock(batch.mutex);
+  batch.done.wait(lock, [&] { return batch.finished == queued; });
+  if (enqueue_error) std::rethrow_exception(enqueue_error);
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
 bool ThreadPool::in_worker() { return tls_in_worker; }

@@ -39,18 +39,16 @@ class ThreadPool {
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> result = task->get_future();
-    {
-      std::scoped_lock lock(mutex_);
-      tasks_.emplace([task] { (*task)(); });
-    }
-    note_enqueued();
-    cv_.notify_one();
+    enqueue([task] { (*task)(); });
     return result;
   }
 
   /// Runs fn(i) for i in [begin, end), partitioned into contiguous chunks
   /// across the pool, blocking until every index is done. Exceptions from
-  /// any chunk propagate (the first one observed is rethrown).
+  /// any chunk propagate (the one from the lowest chunk is rethrown). It
+  /// never returns or throws while a chunk it enqueued may still run: if
+  /// enqueuing a chunk throws, it waits for the chunks already enqueued,
+  /// then rethrows that error.
   ///
   /// Degenerates to a serial loop when the range is small, the pool has a
   /// single worker, or the caller is itself a pool worker (nested
@@ -107,6 +105,8 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  // Queues `task` and wakes a worker. If it throws, nothing was queued.
+  void enqueue(std::function<void()> task);
   // Chunks parallel_ranges splits [begin, end) into: 0 for an empty range,
   // 1 when it runs on the caller. Checks begin <= end.
   [[nodiscard]] std::size_t chunk_count(std::size_t begin, std::size_t end,

@@ -1,18 +1,20 @@
-// Heap-volume regression test for an observed run of the round engine.
+// Heap regression tests for the round engine and its uplink encode.
 //
 // This binary links the counting operator new / delete of
 // testing/alloc_counter.cpp, so it is kept apart from every other suite.
 // An observed run (observability on) times its phases and device solves in
 // a few scalars, so the bytes it allocates per round depend on the round's
-// participants, never on the fleet. The case runs a sampled round on a
-// 10⁶-device virtual fleet, where anything kept per fleet device per round
-// would cost megabytes.
+// participants, never on the fleet. The first case runs a sampled round on
+// a 10⁶-device virtual fleet, where anything kept per fleet device per
+// round would cost megabytes.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "comm/message.h"
 #include "data/federation.h"
 #include "fl/trainer.h"
 #include "testing/alloc_counter.h"
@@ -82,6 +84,23 @@ TEST(FlAlloc, ObservedRunAllocatesPerRoundIndependentOfTheFleet) {
       << "an observed round allocated " << per_round << " bytes on a "
       << kFleet << "-device fleet";
   util::ThreadPool::reset_global(0);
+}
+
+// A top-k uplink of the 60 -> 10 logistic model keeps 61 of 610
+// coordinates. Message::encode_nonzeros counts them before it fills its
+// index and value buffers, so it allocates each buffer once, plus the
+// frame.
+TEST(FlAlloc, EncodeNonzerosAllocatesEachBufferOnce) {
+  std::vector<double> delta(610, 0.0);
+  for (std::size_t i = 0; i < delta.size(); i += 10) {
+    delta[i] = 0.25 + static_cast<double>(i);
+  }
+  const std::uint64_t before = testing::heap_allocations();
+  const comm::Message msg =
+      comm::Message::encode_nonzeros(delta, comm::DType::kFloat32);
+  const std::uint64_t allocations = testing::heap_allocations() - before;
+  EXPECT_EQ(msg.count(), 61U);
+  EXPECT_EQ(allocations, 3U) << "index buffer, value buffer and frame";
 }
 
 }  // namespace

@@ -1,29 +1,21 @@
 // A bit-level reference for Algorithm 1's inner loop (lines 3-10) on a real
-// model. The reference below is a plain-loop transcription of the solver's
-// floating-point sequence:
-//   * every gradient is a model call on `train` with the drawn indices;
-//   * v^(t) is built element by element as a copy followed by axpy's
-//     (SVRG: v = g_t; v += -1·g_ref; v += 1·v_0.  SARAH: v += 1·g_t;
-//     v += -1·g_ref);
-//   * w^(t+1) is a copy of w^(t), an axpy with -η_t, then the eq. 10 prox
-//     (η μ / (1 + η μ))·anchor + (1 / (1 + η μ))·step.
-// LocalSolver must return the same bits and the same result fields for
-// every estimator, batch size, penalty, sampling scheme, step schedule and
-// iterate selection swept here, and leave the RNG in the same state. Any
-// fused or in-place rewrite of the solver's passes has to keep all of it.
+// model. The reference is the plain-loop transcription of the solver's
+// floating-point sequence in testing/reference_solver.h. LocalSolver must
+// return the same bits and the same result fields for every estimator,
+// batch size, penalty, sampling scheme, step schedule and iterate selection
+// swept here, and leave the RNG in the same state. Any fused or in-place
+// rewrite of the solver's passes has to keep all of it.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
 #include "nn/models.h"
 #include "opt/local_solver.h"
+#include "testing/reference_solver.h"
 #include "util/rng.h"
 
 namespace fedvr::opt {
@@ -50,124 +42,6 @@ data::Dataset random_shard(std::size_t dim, std::size_t n,
     ds.set_label(i, static_cast<int>(rng.below(10)));
   }
   return ds;
-}
-
-// The solver's sequence, written out with plain loops.
-LocalSolverResult reference_solve(const nn::Model& model,
-                                  const LocalSolverOptions& o,
-                                  const data::Dataset& train,
-                                  const std::vector<double>& anchor,
-                                  Rng& rng) {
-  const std::size_t dim = model.num_parameters();
-  const std::size_t n = train.size();
-  std::vector<std::size_t> full_idx(n);
-  std::iota(full_idx.begin(), full_idx.end(), 0);
-  const auto eta_at = [&](std::size_t t) {
-    return o.schedule == StepSchedule::kConstant
-               ? o.eta
-               : o.eta / (1.0 + o.schedule_decay * static_cast<double>(t));
-  };
-  const auto prox_step = [&](const std::vector<double>& w,
-                             const std::vector<double>& v, double eta,
-                             std::vector<double>& out) {
-    std::vector<double> step(dim);
-    for (std::size_t i = 0; i < dim; ++i) step[i] = w[i];
-    for (std::size_t i = 0; i < dim; ++i) step[i] += -eta * v[i];
-    const double denom = 1.0 + eta * o.mu;
-    const double anchor_coef = eta * o.mu / denom;
-    const double x_coef = 1.0 / denom;
-    for (std::size_t i = 0; i < dim; ++i) {
-      out[i] = anchor_coef * anchor[i] + x_coef * step[i];
-    }
-  };
-
-  // Mini-batch draws: with replacement, or through a permutation that is
-  // reshuffled whenever it runs out; a batch covering the shard is 0..n-1.
-  const std::size_t batch_size = std::min(o.batch_size, n);
-  std::vector<std::size_t> permutation(n);
-  std::iota(permutation.begin(), permutation.end(), 0);
-  std::size_t cursor = n;
-  const auto draw = [&] {
-    std::vector<std::size_t> batch(batch_size);
-    for (std::size_t k = 0; k < batch_size; ++k) {
-      if (batch_size == n) {
-        batch[k] = k;
-      } else if (o.sampling == Sampling::kWithReplacement) {
-        batch[k] = rng.below(n);
-      } else {
-        if (cursor >= n) {
-          rng.shuffle(std::span<std::size_t>(permutation));
-          cursor = 0;
-        }
-        batch[k] = permutation[cursor++];
-      }
-    }
-    return batch;
-  };
-
-  LocalSolverResult r;
-  const std::size_t selected_t =
-      o.selection == IterateSelection::kUniformRandom
-          ? static_cast<std::size_t>(rng.below(o.tau + 1))
-          : o.tau + 1;
-  std::vector<double> w_prev = anchor;
-  std::vector<double> v(dim);
-  r.anchor_loss = model.loss_and_gradient(w_prev, train, full_idx, v);
-  r.sample_gradient_evals += n;
-  double sq = 0.0;
-  for (std::size_t i = 0; i < dim; ++i) sq += v[i] * v[i];
-  r.anchor_grad_norm = std::sqrt(sq);
-  std::vector<double> snapshot;
-  if (selected_t == 0) snapshot = w_prev;
-  std::vector<double> w_curr(dim);
-  prox_step(w_prev, v, eta_at(0), w_curr);
-  const std::vector<double> v0 = v;
-  std::vector<double> g(dim), g_ref(dim);
-  for (std::size_t t = 1; t <= o.tau; ++t) {
-    if (t == selected_t) snapshot = w_curr;
-    r.iterations_run = t;
-    switch (o.estimator) {
-      case Estimator::kSgd: {
-        const auto batch = draw();
-        (void)model.loss_and_gradient(w_curr, train, batch, v);
-        r.sample_gradient_evals += batch.size();
-        break;
-      }
-      case Estimator::kSvrg: {
-        const auto batch = draw();
-        (void)model.loss_and_gradient(w_curr, train, batch, g);
-        (void)model.loss_and_gradient(anchor, train, batch, g_ref);
-        r.sample_gradient_evals += 2 * batch.size();
-        for (std::size_t i = 0; i < dim; ++i) v[i] = g[i];
-        for (std::size_t i = 0; i < dim; ++i) v[i] += -1.0 * g_ref[i];
-        for (std::size_t i = 0; i < dim; ++i) v[i] += 1.0 * v0[i];
-        break;
-      }
-      case Estimator::kSarah: {
-        const auto batch = draw();
-        (void)model.loss_and_gradient(w_curr, train, batch, g);
-        (void)model.loss_and_gradient(w_prev, train, batch, g_ref);
-        r.sample_gradient_evals += 2 * batch.size();
-        for (std::size_t i = 0; i < dim; ++i) v[i] += 1.0 * g[i];
-        for (std::size_t i = 0; i < dim; ++i) v[i] += -1.0 * g_ref[i];
-        break;
-      }
-      case Estimator::kFullGradient: {
-        (void)model.loss_and_gradient(w_curr, train, full_idx, v);
-        r.sample_gradient_evals += n;
-        break;
-      }
-    }
-    std::vector<double> next(dim);
-    prox_step(w_curr, v, eta_at(t), next);
-    w_prev = std::move(w_curr);
-    w_curr = std::move(next);
-  }
-  r.w = (o.selection == IterateSelection::kUniformRandom &&
-         selected_t <= o.tau)
-            ? snapshot
-            : w_curr;
-  return r;
 }
 
 struct Case {
@@ -219,8 +93,8 @@ TEST_P(InnerStepReference, SolverMatchesPlainLoopsBitForBit) {
             Rng reference_rng(1000 + cases);
             const LocalSolver solver(model, o);
             const auto got = solver.solve(train, anchor, solver_rng);
-            const auto want =
-                reference_solve(*model, o, train, anchor, reference_rng);
+            const auto want = testing::reference_solve(*model, o, train, anchor,
+                                                       reference_rng);
             ++cases;
 
             ASSERT_EQ(got.w.size(), want.w.size()) << label;

@@ -38,7 +38,9 @@ struct GemmCase {
 //    m*n = 4096 / 4097; Dense's forward and eval-chunk shapes;
 //  * A^T*B path (kYes x kNo, m <= 60, m*n*k >= 32768): m = 59/60/61, and
 //    volumes just under / at / over 32768; Dense's dW, and a k spanning two
-//    256-deep chunks.
+//    256-deep chunks;
+//  * small path (everything else under 32768): a 60 -> 10 Dense layer's
+//    forward at batch 8, its dW, and eval shards of 25 and 40 rows.
 const GemmCase kShapes[] = {
     {0, 0, 0},     {0, 5, 3},     {4, 0, 3},      {4, 5, 0},
     {1, 1, 1},     {2, 3, 1},     {5, 1, 7},      {17, 9, 3},
@@ -51,6 +53,8 @@ const GemmCase kShapes[] = {
     // A^T*B path
     {59, 41, 40},  {60, 41, 40},  {61, 41, 40},   {8, 64, 63},
     {8, 64, 64},   {8, 65, 64},   {10, 784, 32},  {10, 37, 300},
+    // small path
+    {8, 10, 60},   {10, 60, 8},   {25, 10, 60},   {40, 10, 60},
 };
 
 void sweep_gemm() {
@@ -212,9 +216,10 @@ TEST(GemmOracle, BitIdenticalAcrossPoolSizes) {
 }
 
 // The AVX2 and AVX-512 variants (and the portable one, on hosts that have
-// either) must give the same bits on every path: the dot and A^T*B kernels
-// run the same FMA chains in registers of different widths, and the two
-// blocked microkernels differ only in tile shape.
+// either) must give the same bits on every path: the dot, A^T*B and small
+// kernels run the same FMA chains in registers of different widths (the
+// portable dot and small kernels in std::fma chains), and the two blocked
+// microkernels differ only in tile shape.
 TEST(GemmOracle, BitIdenticalAcrossKernelVariants) {
   using detail::KernelIsa;
   std::vector<double> first;

@@ -1,6 +1,7 @@
-// Per-element arithmetic of the two unpacked GEMM paths, checked bit for bit
-// against scalar std::fma references written from the documented rules
-// (src/tensor/kernels.cpp), on every kernel variant the host supports:
+// Per-element arithmetic of the unpacked and small-product GEMM paths,
+// checked bit for bit against scalar std::fma references written from the
+// documented rules (src/tensor/kernels.cpp), on every kernel variant the
+// host supports:
 //
 //  * dot path (A untransposed, B transposed, m*n <= 4096, k >= 128): lane l
 //    is an FMA chain over the k indices congruent to l mod 8, the k % 8 tail
@@ -9,9 +10,13 @@
 //    many rows share the call or where it sits among them.
 //  * A^T*B path (A transposed, B untransposed, small m): per 256-deep chunk
 //    of k, an FMA chain from +0 over the chunk, then c = fma(alpha, acc, c).
+//  * small path (m*n*k < 32^3, any transposes, unless the dot path takes
+//    it): from the beta-scaled C, c = fma(alpha * a_ip, b_pj, c) for p
+//    ascending, alpha * a_ip rounded first.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,6 +64,32 @@ double dot_reference(const double* a, const double* b, std::size_t k,
 bool same_bits(double x, double y) {
   return std::memcmp(&x, &y, sizeof x) == 0;
 }
+
+// Element (i, p) of op(M), M stored with row stride ld.
+double op_at(Trans t, const std::vector<double>& m, std::size_t ld,
+             std::size_t i, std::size_t p) {
+  return t == Trans::kNo ? m[i * ld + p] : m[p * ld + i];
+}
+
+// A, B and C of one gemm call, filled from `rng`, with `extra` padding
+// columns on every stored row.
+struct Operands {
+  std::size_t lda, ldb, ldc;
+  std::vector<double> a, b, c;
+
+  Operands(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
+           std::size_t extra, util::Rng& rng)
+      : lda((ta == Trans::kNo ? k : m) + extra),
+        ldb((tb == Trans::kNo ? n : k) + extra),
+        ldc(n + extra),
+        a((ta == Trans::kNo ? m : k) * lda),
+        b((tb == Trans::kNo ? k : n) * ldb),
+        c(m * ldc) {
+    for (auto& v : a) v = rng.normal();
+    for (auto& v : b) v = rng.normal();
+    for (auto& v : c) v = rng.normal();
+  }
+};
 
 // Five input rows against an n x k weight matrix, as Dense's forward
 // computes logits. Every contiguous batch of 1, 2, 3 or 5 rows must give
@@ -111,8 +142,9 @@ TEST(GemmAtbPath, MatchesChunkedFmaChainReference) {
   struct Shape {
     std::size_t m, n, k;
   };
-  const Shape shapes[] = {{10, 784, 32}, {7, 61, 77}, {10, 33, 300},
-                          {1, 784, 64},  {60, 41, 40}, {13, 101, 513}};
+  const Shape shapes[] = {{10, 784, 32}, {7, 61, 77},   {10, 33, 300},
+                          {1, 784, 64},  {60, 41, 40},  {13, 101, 513},
+                          {13, 36, 71}};  // just over the 32^3 floor
   const double alpha = -0.7;  // not a power of two: alpha * acc rounds
   const double beta = 1.25;
   util::Rng rng(2718);
@@ -149,6 +181,65 @@ TEST(GemmAtbPath, MatchesChunkedFmaChainReference) {
     });
   }
   if (!checked) GTEST_SKIP() << "no AVX2 or AVX-512 kernel variant here";
+}
+
+// Small-path shapes, each in all four transpose combinations, with and
+// without padded rows, at alpha != 1 and beta in {0, 1, other}:
+// fleet_sampled's Dense GEMMs (forward at batch 8, dW, eval shards of 25
+// and 40, an anchor gradient's dW), rows and columns around the 4 x 16 and
+// 4 x 8 tiles, and the near side of every path boundary: m*n*k just under
+// 32^3, k = 127 under the dot path's 128, and m = 59 / 60 / 61 around the
+// A^T*B path's m <= 60, which below the floor does not apply. The tests
+// above cover the far sides (k = 128; 13 x 36 x 71 and m = 60 over the
+// floor).
+TEST(GemmSmallPath, MatchesFmaReference) {
+  struct Shape {
+    std::size_t m, n, k;
+  };
+  const Shape shapes[] = {
+      {8, 10, 60},  {10, 60, 8},  {25, 10, 60}, {40, 10, 60}, {10, 60, 25},
+      {1, 1, 1},    {3, 5, 7},    {4, 16, 9},   {5, 17, 3},   {7, 9, 11},
+      {13, 36, 70}, {33, 41, 24}, {5, 7, 127},  {59, 9, 61},  {60, 9, 60},
+      {61, 9, 59}};
+  const std::pair<double, double> coeffs[] = {
+      {-0.7, 0.0}, {1.3, 1.0}, {0.55, -1.25}};
+  util::Rng rng(3141);
+  for (const Shape& s : shapes) {
+    ASSERT_LT(s.m * s.n * s.k, 32U * 32U * 32U);
+    for (Trans ta : {Trans::kNo, Trans::kYes}) {
+      for (Trans tb : {Trans::kNo, Trans::kYes}) {
+        for (std::size_t extra : {std::size_t{0}, std::size_t{3}}) {
+          const Operands in(ta, tb, s.m, s.n, s.k, extra, rng);
+          for (const auto& [alpha, beta] : coeffs) {
+            std::vector<double> want = in.c;
+            for (std::size_t i = 0; i < s.m; ++i) {
+              for (std::size_t j = 0; j < s.n; ++j) {
+                double c = beta == 0.0 ? 0.0 : beta * in.c[i * in.ldc + j];
+                for (std::size_t p = 0; p < s.k; ++p) {
+                  c = std::fma(alpha * op_at(ta, in.a, in.lda, i, p),
+                               op_at(tb, in.b, in.ldb, p, j), c);
+                }
+                want[i * in.ldc + j] = c;
+              }
+            }
+            for_each_variant([&](KernelIsa) {
+              std::vector<double> c = in.c;
+              gemm(ta, tb, s.m, s.n, s.k, alpha, in.a, in.lda, in.b, in.ldb,
+                   beta, c, in.ldc);
+              for (std::size_t e = 0; e < c.size(); ++e) {
+                ASSERT_TRUE(same_bits(c[e], want[e]))
+                    << s.m << "x" << s.n << "x" << s.k
+                    << " ta=" << static_cast<int>(ta)
+                    << " tb=" << static_cast<int>(tb) << " extra=" << extra
+                    << " alpha=" << alpha << " beta=" << beta << " element "
+                    << e << ": got " << c[e] << " want " << want[e];
+              }
+            });
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

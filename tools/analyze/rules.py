@@ -47,9 +47,9 @@ WALLCLOCK_EXEMPT = ("src/obs/", "src/util/stopwatch.h")
 # Directories/files whose loops are per-round / per-iteration hot paths: a
 # heap allocation inside one multiplies by rounds × devices × iterations.
 # The round engine (trainer.*) and the tree aggregator run once per round
-# over every participant, so they are held to the same standard as the
-# solvers.
-HOT_LOOP_DIRS = ("src/opt/", "src/tensor/", "src/core/",
+# over every participant, and src/comm encodes every uplink, so they are held
+# to the same standard as the solvers.
+HOT_LOOP_DIRS = ("src/opt/", "src/tensor/", "src/core/", "src/comm/",
                  "src/fl/trainer.", "src/fl/hierarchy.")
 
 
