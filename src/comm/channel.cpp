@@ -1,7 +1,5 @@
 #include "comm/channel.h"
 
-#include <vector>
-
 #include "tensor/vecops.h"
 #include "util/error.h"
 
@@ -47,15 +45,17 @@ Channel::Channel(ChannelOptions options, std::size_t num_devices,
   FEDVR_CHECK_MSG(num_devices > 0, "channel needs >= 1 device");
   FEDVR_CHECK_MSG(dim > 0, "channel needs dim >= 1");
   options_.validate();
-  // Keyed (lazy) residual storage: slots appear via prepare()/first uplink,
-  // so a sampled run over a million-device fleet never allocates N·dim of
-  // residual state.
-  if (options_.error_feedback) ef_ = ErrorFeedback(dim);
+}
+
+std::vector<double>& Channel::residual_slot(std::size_t device) {
+  const auto it = residuals_.find(device);
+  if (it != residuals_.end()) return it->second;
+  return residuals_.try_emplace(device, dim_, 0.0).first->second;
 }
 
 void Channel::prepare(std::span<const std::size_t> devices) {
   if (!options_.error_feedback) return;
-  for (const std::size_t device : devices) ef_.ensure(device);
+  for (const std::size_t device : devices) residual_slot(device);
 }
 
 std::size_t Channel::uplink(std::size_t device, std::span<double> delta,
@@ -68,14 +68,15 @@ std::size_t Channel::uplink(std::size_t device, std::span<double> delta,
     // engine while still charging measured message sizes).
     return uplink_wire_bytes();
   }
-  // Error-feedback recursion (error_feedback.h): compensate, transmit,
-  // absorb the round's compression + quantization error. The lazy ensure()
-  // covers serial callers; parallel callers must prepare() first.
-  std::vector<double> corrected;
-  if (options_.error_feedback) {
-    if (!ef_.has(device)) ef_.ensure(device);
-    ef_.compensate(device, delta);
-    corrected.assign(delta.begin(), delta.end());
+  // Error-feedback recursion (header comment): compensate, keep the
+  // corrected delta in the residual slot, transmit, and leave there what
+  // the server did not receive. A missing slot is registered here for
+  // serial callers; parallel callers must prepare() first.
+  std::vector<double>* e =
+      options_.error_feedback ? &residual_slot(device) : nullptr;
+  if (e != nullptr) {
+    tensor::axpy(1.0, *e, delta);
+    tensor::copy(delta, *e);
   }
   if (options_.compressor) {
     options_.compressor->compress(delta, rng);
@@ -85,9 +86,7 @@ std::size_t Channel::uplink(std::size_t device, std::span<double> delta,
           ? Message::encode_nonzeros(delta, options_.uplink_dtype)
           : Message::encode_dense(delta, options_.uplink_dtype);
   msg.decode(delta);  // what the server actually receives
-  if (options_.error_feedback) {
-    ef_.absorb(device, corrected, delta);
-  }
+  if (e != nullptr) tensor::sub(*e, delta, *e);
   return msg.wire_size();
 }
 
@@ -112,8 +111,16 @@ double Channel::link_round_time(const fl::TimingModel& timing) const {
   return link.transfer_time(downlink_wire_bytes() + uplink_wire_bytes());
 }
 
+std::span<const double> Channel::residual(std::size_t device) const {
+  const auto it = residuals_.find(device);
+  FEDVR_CHECK_MSG(it != residuals_.end(),
+                  "device " << device << " has no error-feedback residual");
+  return it->second;
+}
+
 void Channel::reset() {
-  if (options_.error_feedback) ef_.reset();
+  // lint:allow(no-unordered-iteration-in-reduction) independent per-slot zero fills; order is unobservable
+  for (auto& [device, e] : residuals_) tensor::fill(e, 0.0);
 }
 
 }  // namespace fedvr::comm

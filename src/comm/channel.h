@@ -19,18 +19,36 @@
 // exchange then costs latency + bytes/bandwidth — communication savings
 // show up in eq. 19 round time, not just in the byte counters.
 //
-// Determinism: uplink() mutates only the calling device's error-feedback
-// residual, and every random draw comes through the caller's forked rng, so
-// channel traffic is bit-identical across thread-pool sizes.
+// Error feedback (EF, "SGD with memory"): biased compressors (TopK) drop
+// mass every round, so plain TopK training stalls at an error floor. EF
+// remembers what compression threw away and re-injects it into the next
+// update (Stich, Cordonnier & Jaggi, 2018; Karimireddy et al., 2019).
+// uplink() runs, per device,
+//
+//     corrected_n  = delta_n + e_n                     (compensate)
+//     sent_n       = decode(encode(C(corrected_n)))    (what the server sees)
+//     e_n         <- corrected_n - sent_n              (the new residual)
+//
+// The residual is measured against the *decoded* payload, so it also absorbs
+// the quantization error of the float32/int8 wire dtypes. Residuals are
+// keyed by device and registered on first use, so a run that samples m of
+// 10^6 devices holds O(devices-ever-sampled · dim) of them, not O(N · dim).
+//
+// Determinism: uplink() mutates only the calling device's residual, and every
+// random draw comes through the caller's forked rng, so channel traffic is
+// bit-identical across thread-pool sizes. A fresh slot is zeros and still
+// runs the compensating axpy, which is not a bitwise no-op (-0.0 + 0.0 is
+// +0.0).
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "comm/compression.h"
-#include "comm/error_feedback.h"
 #include "comm/message.h"
 #include "fl/timing_model.h"
 #include "util/rng.h"
@@ -62,7 +80,7 @@ inline constexpr double kLinkLatencyFraction = 0.5;
 struct ChannelOptions {
   /// Uplink sparsifier/quantizer applied to the update delta. Null = dense.
   std::shared_ptr<const Compressor> compressor;
-  /// Error-feedback compensation (see error_feedback.h). Makes biased
+  /// Error-feedback compensation (see the header comment). Makes biased
   /// compressors (TopK) and lossy dtypes convergent; a no-op for the
   /// exact dense float64 path.
   bool error_feedback = false;
@@ -91,16 +109,13 @@ struct ChannelOptions {
 class Channel {
  public:
   /// A channel for a fleet of `num_devices` devices exchanging dim-sized
-  /// vectors. Per-device state (error-feedback residuals) is keyed by
-  /// device and registered on first use, so the channel's footprint scales
-  /// with the devices that actually uplink, not the fleet size.
+  /// vectors.
   Channel(ChannelOptions options, std::size_t num_devices, std::size_t dim);
 
-  /// Serially registers per-device channel state (error-feedback residual
-  /// slots) for the given devices. REQUIRED before uplinking a device from
-  /// a parallel section — uplink() lazily registers missing slots, which
-  /// is only safe single-threaded. No-op devices already registered and
-  /// the whole call is a no-op when the channel keeps no per-device state.
+  /// Serially registers a zero error-feedback residual for each given
+  /// device that has none. REQUIRED before uplinking a device from a
+  /// parallel section: uplink() registers a missing residual itself, which
+  /// is only safe single-threaded. A no-op without error feedback.
   void prepare(std::span<const std::size_t> devices);
 
   /// Transmits one update delta for `device`: error-feedback compensation,
@@ -131,12 +146,20 @@ class Channel {
 
   [[nodiscard]] const ChannelOptions& options() const { return options_; }
   [[nodiscard]] std::size_t dim() const { return dim_; }
-  [[nodiscard]] const ErrorFeedback& error_feedback() const { return ef_; }
+
+  /// The current error-feedback residual of a registered device
+  /// (diagnostics, tests).
+  [[nodiscard]] std::span<const double> residual(std::size_t device) const;
 
  private:
+  // The device's residual, registered as zeros if it has none (serial
+  // callers only: registration rehashes the map).
+  std::vector<double>& residual_slot(std::size_t device);
+
   ChannelOptions options_;
   std::size_t dim_;
-  ErrorFeedback ef_;  // engaged only when options_.error_feedback
+  // Error-feedback residuals by device; empty without error feedback.
+  std::unordered_map<std::size_t, std::vector<double>> residuals_;
 };
 
 }  // namespace fedvr::comm

@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "fl/trainer.h"
+#include "opt/workspace.h"
 #include "tensor/vecops.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -88,15 +89,16 @@ class ProxSkipVRPolicy final : public fl::RoundPolicy {
     const std::size_t batch = std::min(options_.batch_size, ds.size());
     util::Rng rng =
         util::fork(options_.seed, n + 1, step.round, util::stream::kSampling);
-    std::vector<std::size_t>& idx = step.ws.batch;
+    opt::SolverWorkspace& ws = opt::thread_workspace();
+    std::vector<std::size_t>& idx = ws.batch;
     idx.resize(batch);
     for (auto& i : idx) i = rng.below(ds.size());
 
     // SVRG estimator: ∇f_B(x_n) − ∇f_B(anchor) + ∇F_n(anchor), with the
     // same minibatch at both points (eq. 8b).
-    std::vector<double>& g = step.ws.grad_curr;
+    std::vector<double>& g = ws.grad_curr;
     g.resize(dim_);
-    std::vector<double>& g_anchor = step.ws.grad_ref;
+    std::vector<double>& g_anchor = ws.grad_ref;
     g_anchor.resize(dim_);
     const std::span<double> xn = view(x_, n);
     const std::span<const double> hn = view(h_, n);

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <system_error>
 #include <vector>
 
 namespace fedvr::data {
@@ -28,6 +29,14 @@ std::uint32_t peek_magic(const std::string& path) {
   if (!in.good()) return 0;
   return (std::uint32_t{bytes[0]} << 24) | (std::uint32_t{bytes[1]} << 16) |
          (std::uint32_t{bytes[2]} << 8) | std::uint32_t{bytes[3]};
+}
+
+// Bytes after the `header`-byte header of `path`.
+std::uint64_t payload_bytes(const std::string& path, std::uint64_t header) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  FEDVR_CHECK_MSG(!ec && size >= header, "cannot size IDX file " << path);
+  return size - header;
 }
 
 }  // namespace
@@ -58,8 +67,17 @@ Dataset load_idx(const std::string& images_path,
                   "IDX pair mismatch: " << n_images << " images vs "
                                         << n_labels << " labels");
 
+  // Bound the header counts by the bytes the files hold before sizing
+  // anything from them; dividing keeps n * rows * cols from wrapping.
+  const std::uint64_t pixels = std::uint64_t{rows} * cols;
+  FEDVR_CHECK_MSG(
+      pixels == 0 || n_images <= payload_bytes(images_path, 16) / pixels,
+      "truncated image data in " << images_path);
+  FEDVR_CHECK_MSG(n_labels <= payload_bytes(labels_path, 8),
+                  "truncated label data in " << labels_path);
+
   Dataset out(tensor::Shape({1, rows, cols}), n_images, num_classes);
-  std::vector<unsigned char> pixel_row(static_cast<std::size_t>(rows) * cols);
+  std::vector<unsigned char> pixel_row(pixels);
   for (std::uint32_t i = 0; i < n_images; ++i) {
     images.read(reinterpret_cast<char*>(pixel_row.data()),
                 static_cast<std::streamsize>(pixel_row.size()));

@@ -9,9 +9,9 @@
 
 #include "check/check.h"
 #include "obs/obs.h"
-#include "opt/workspace.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "opt/workspace.h"
 #include "tensor/vecops.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -112,7 +112,8 @@ class FedProxVRPolicy final : public RoundPolicy {
     const data::Dataset& shard = fed_.train(device, shard_scratch);
     const opt::LocalSolver& solver =
         solvers_.size() == 1 ? solvers_.front() : solvers_[device];
-    const auto result = solver.solve(shard, w_, rng, step.ws, local);
+    opt::SolverWorkspace& ws = opt::thread_workspace();
+    const auto result = solver.solve(shard, w_, rng, ws, local);
     StepResult out{.grad_evals = result.sample_gradient_evals,
                    .iterations = result.iterations_run};
     // θ exists only where the solver computed its diagnostics; any other
@@ -125,7 +126,7 @@ class FedProxVRPolicy final : public RoundPolicy {
       // compression, wire encode/decode); the server reconstructs anchor +
       // decoded delta. Compressor calls outside comm::Channel are a lint
       // error (compression-in-seam).
-      std::vector<double>& delta = step.ws.delta;
+      std::vector<double>& delta = ws.delta;
       delta.resize(w_.size());
       tensor::sub(local, w_, delta);
       util::Rng comm_rng = util::fork(options_.seed, device + 1, step.round,
@@ -298,8 +299,6 @@ struct RunState {
   PhaseTimings phases;
   std::atomic<std::uint64_t> solve_ns{0};
   std::atomic<std::uint64_t> solve_iterations{0};
-  // Solver workspaces, one per peak-concurrent local step.
-  opt::WorkspacePool ws_pool;
   util::Stopwatch wall;
   TrainingTrace trace;
   /// The cumulative counters every recorded row carries, plus this round's
@@ -463,7 +462,10 @@ void RunState::local_work() {
   steps.assign(participants.size(), StepResult{});
   if (communicates && options.comm.error_feedback) {
     // Serial registration of this round's uplinkers' error-feedback slots:
-    // the parallel section below must never mutate keyed channel state.
+    // the parallel section below must never mutate keyed channel state, and
+    // registering lazily there under a mutex cost fleet_sampled 15% more
+    // peak RSS (likely the long-lived residuals landing in the workers'
+    // malloc arenas, between each round's transient frames and shards).
     uplinkers.clear();
     uplinkers.reserve(participants.size());
     for (const std::size_t k : survivors) {
@@ -476,7 +478,6 @@ void RunState::local_work() {
     const std::size_t device = participants[k];
     OBS_SPAN("device.solve");
     const std::uint64_t start = obs_on ? obs::now_ns() : 0;
-    const opt::WorkspacePool::Lease lease(ws_pool);
     steps[k] = policy.local_step(LocalStep{
         .round = round,
         .device = device,
@@ -484,7 +485,6 @@ void RunState::local_work() {
         .uploads = communicates &&
                    std::binary_search(survivors.begin(), survivors.end(), k),
         .channel = channel,
-        .ws = *lease,
         .upload = uploads[k]});
     if (obs_on && steps[k].iterations > 0) {
       solve_ns += obs::now_ns() - start;

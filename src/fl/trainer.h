@@ -137,7 +137,6 @@ struct LocalStep {
   /// or late, and on a round that does not communicate.
   bool uploads = false;
   comm::Channel& channel;
-  opt::SolverWorkspace& ws;     // leased for this step only
   std::vector<double>& upload;  // the slot's buffer the server update reads
 };
 

@@ -3,7 +3,9 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "util/error.h"
 
@@ -12,6 +14,7 @@ namespace fedvr::nn {
 namespace {
 constexpr std::uint64_t kMagic = 0x46564452'43503031ULL;  // "FVDRCP01"
 constexpr std::uint32_t kVersion = 1;
+constexpr std::uintmax_t kHeaderBytes = 8 + 4 + 8;  // magic, version, count
 
 static_assert(std::endian::native == std::endian::little,
               "checkpoint format assumes a little-endian host");
@@ -44,6 +47,12 @@ std::vector<double> load_parameters(const std::string& path) {
   FEDVR_CHECK_MSG(version == kVersion,
                   "unsupported checkpoint version " << version << " in "
                                                     << path);
+  // Bound the count by the bytes after the header before sizing anything
+  // from it: a corrupt count could wrap count * 8 or reserve gigabytes.
+  std::error_code ec;
+  const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+  FEDVR_CHECK_MSG(!ec && count <= (bytes - kHeaderBytes) / sizeof(double),
+                  "truncated checkpoint data in " << path);
   std::vector<double> w(count);
   in.read(reinterpret_cast<char*>(w.data()),
           static_cast<std::streamsize>(count * sizeof(double)));

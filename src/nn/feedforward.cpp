@@ -113,23 +113,26 @@ double FeedForwardModel::loss_and_gradient(
   // 0 + 1 * chunk.
   const bool one_chunk = indices.size() <= max_chunk_;
   if (!one_chunk) chunk_grad.resize(num_parameters());
+  // Sized once, for the largest chunk; each chunk uses a prefix.
+  const std::size_t classes = net_->out_size();
+  d_logits.resize(std::min(max_chunk_, indices.size()) * classes);
   double weighted = 0.0;
   for (std::size_t start = 0; start < indices.size(); start += max_chunk_) {
     const std::size_t count = std::min(max_chunk_, indices.size() - start);
     const ChunkRows rows =
         chunk_rows(ds, indices.subspan(start, count), xbuf, ybuf);
     const auto logits = net_->forward(w, count, rows.x, ws, /*training=*/true);
-    d_logits.resize(count * net_->out_size());
+    const auto d_chunk = std::span<double>(d_logits).first(count * classes);
     const double chunk_loss = softmax_cross_entropy_backward(
-        count, net_->out_size(), logits, rows.y, d_logits);
+        count, classes, logits, rows.y, d_chunk);
     weighted += static_cast<double>(count) * chunk_loss;
     if (one_chunk) {
-      net_->backward(w, count, rows.x, d_logits, grad, ws);
+      net_->backward(w, count, rows.x, d_chunk, grad, ws);
       continue;
     }
     // Chunk gradients are per-chunk means; rescale into a global mean.
     tensor::fill(chunk_grad, 0.0);
-    net_->backward(w, count, rows.x, d_logits, chunk_grad, ws);
+    net_->backward(w, count, rows.x, d_chunk, chunk_grad, ws);
     tensor::axpy(static_cast<double>(count) /
                      static_cast<double>(indices.size()),
                  chunk_grad, grad);

@@ -33,6 +33,7 @@ std::unique_ptr<Layer> make_activation(const std::string& kind,
 std::shared_ptr<FeedForwardModel> make_mlp(const MlpConfig& config) {
   FEDVR_CHECK(config.input_dim > 0 && config.num_classes >= 2);
   std::vector<std::unique_ptr<Layer>> layers;
+  layers.reserve(2 * config.hidden.size() + 1);
   std::size_t width = config.input_dim;
   for (std::size_t hidden : config.hidden) {
     FEDVR_CHECK_MSG(hidden > 0, "hidden layer width must be positive");

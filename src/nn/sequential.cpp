@@ -56,6 +56,7 @@ std::span<const double> Sequential::forward(std::span<const double> w,
   std::span<const double> current = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     auto& out = ws.activations[i];
+    // lint:allow(no-alloc-in-hot-loop) each layer's own warm buffer; allocates only past its capacity
     out.resize(batch * layers_[i]->out_size());
     layers_[i]->forward(w.subspan(offsets_[i], layers_[i]->param_count()),
                         batch, current, out,
@@ -82,6 +83,7 @@ void Sequential::backward(std::span<const double> w, std::size_t batch,
   for (std::size_t i = layers_.size(); i-- > 0;) {
     // Nothing reads layer 0's input gradient: an empty d_in skips it.
     auto& d_in = ws.grads[i];
+    // lint:allow(no-alloc-in-hot-loop) each layer's own warm buffer; allocates only past its capacity
     d_in.resize(i > 0 ? batch * layers_[i]->in_size() : 0);
     layers_[i]->backward(w.subspan(offsets_[i], layers_[i]->param_count()),
                          batch, i > 0 ? ws.activations[i - 1] : x,

@@ -143,13 +143,7 @@ class Registry {
 }  // namespace fedvr::obs
 
 // Hot-path counter increment: a relaxed enabled() check, then a sharded
-// fetch_add on a handle cached in a function-local static. Compile out
-// entirely with -DFEDVR_OBS_DISABLED for zero-cost builds.
-#if defined(FEDVR_OBS_DISABLED)
-#define FEDVR_OBS_COUNT(name, delta) \
-  do {                               \
-  } while (0)
-#else
+// fetch_add on a handle cached in a function-local static.
 #define FEDVR_OBS_COUNT(name, delta)                              \
   do {                                                            \
     if (::fedvr::obs::enabled()) {                                \
@@ -158,4 +152,3 @@ class Registry {
       fedvr_obs_counter.add(static_cast<std::uint64_t>(delta));   \
     }                                                             \
   } while (0)
-#endif

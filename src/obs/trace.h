@@ -86,14 +86,8 @@ void write_span_summary_jsonl(std::ostream& os);
 
 }  // namespace fedvr::obs
 
-#if defined(FEDVR_OBS_DISABLED)
-#define OBS_SPAN(name) \
-  do {                 \
-  } while (0)
-#else
 #define FEDVR_OBS_CONCAT_IMPL(a, b) a##b
 #define FEDVR_OBS_CONCAT(a, b) FEDVR_OBS_CONCAT_IMPL(a, b)
 #define OBS_SPAN(name)                                       \
   ::fedvr::obs::ScopedSpan FEDVR_OBS_CONCAT(fedvr_obs_span_, \
                                             __COUNTER__)(name)
-#endif

@@ -1,6 +1,7 @@
 #include "opt/local_solver.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "check/check.h"
@@ -65,11 +66,14 @@ LocalSolver::LocalSolver(std::shared_ptr<const nn::Model> model,
                          LocalSolverOptions options)
     : model_(std::move(model)), options_(options) {
   FEDVR_CHECK(model_ != nullptr);
-  FEDVR_CHECK_MSG(options_.eta > 0.0, "step size eta must be positive");
-  FEDVR_CHECK_MSG(options_.mu >= 0.0, "penalty mu must be nonnegative");
+  FEDVR_CHECK_MSG(std::isfinite(options_.eta) && options_.eta > 0.0,
+                  "step size eta must be positive and finite");
+  FEDVR_CHECK_MSG(std::isfinite(options_.mu) && options_.mu >= 0.0,
+                  "penalty mu must be nonnegative and finite");
   FEDVR_CHECK(options_.batch_size >= 1);
-  FEDVR_CHECK_MSG(options_.schedule_decay >= 0.0,
-                  "schedule decay must be nonnegative");
+  FEDVR_CHECK_MSG(std::isfinite(options_.schedule_decay) &&
+                      options_.schedule_decay >= 0.0,
+                  "schedule decay must be nonnegative and finite");
   FEDVR_CHECK_MSG(options_.adaptive_theta >= 0.0 &&
                       options_.adaptive_theta < 1.0,
                   "adaptive_theta must be in [0, 1)");

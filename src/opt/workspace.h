@@ -1,20 +1,18 @@
-// Per-device solver workspaces: every buffer one device activation of the
-// local solver (and the code that drives it) touches, owned in one place
-// and reused across local epochs and rounds.
+// Solver workspaces: every buffer one device activation of the local solver
+// (and the code that drives it) touches, owned in one place and reused
+// across local epochs and rounds.
 //
 // The local inner loop is the hot path of every federated round: without
 // reuse each solve() allocates ~10 dim-sized vectors, and a trainer running
 // R rounds x N devices pays R*N*10 heap round-trips that dwarf the actual
-// arithmetic for small models. A SolverWorkspace is acquired once per
-// device activation (via WorkspacePool when activations run on pool
-// threads) and its vectors keep their capacity, so a warm solve makes no
-// heap allocation at all — nn_alloc_test counts operator new around one,
-// and the workspace tests pin the buffer storage.
+// arithmetic for small models. The round policies run each device step on
+// the calling thread's workspace (thread_workspace()), whose vectors keep
+// their capacity, so a warm solve makes no heap allocation at all —
+// nn_alloc_test counts operator new around one, and the workspace tests pin
+// the buffer storage.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "data/dataset.h"
@@ -49,45 +47,17 @@ struct SolverWorkspace {
   std::vector<double> delta;
 };
 
-/// Thread-safe pool of SolverWorkspaces for device activations that run on
-/// thread-pool workers. Holds one workspace per peak-concurrent activation
-/// (lazily created), so a trainer's steady state touches the heap only for
-/// the pool bookkeeping mutex, never for solver buffers.
-class WorkspacePool {
- public:
-  WorkspacePool() = default;
-  WorkspacePool(const WorkspacePool&) = delete;
-  WorkspacePool& operator=(const WorkspacePool&) = delete;
-
-  /// RAII lease: acquires a workspace on construction, returns it on
-  /// destruction. Keep it on the stack for the span of one activation.
-  class Lease {
-   public:
-    explicit Lease(WorkspacePool& pool) : pool_(&pool), ws_(pool.take()) {}
-    ~Lease() {
-      if (ws_ != nullptr) pool_->give_back(ws_);
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    SolverWorkspace& operator*() const { return *ws_; }
-    SolverWorkspace* operator->() const { return ws_; }
-
-   private:
-    WorkspacePool* pool_;
-    SolverWorkspace* ws_;
-  };
-
-  /// Number of workspaces ever created (== peak concurrent leases).
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  SolverWorkspace* take();
-  void give_back(SolverWorkspace* ws);
-
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<SolverWorkspace>> all_;
-  std::vector<SolverWorkspace*> free_;
-};
+/// The calling thread's workspace, created on first use and kept, with the
+/// capacity of the largest model it served, until the thread exits (the
+/// idiom of nn's eval scratch and tensor::scratch_arena()). One device step
+/// runs on one thread and never starts another step on that thread: a
+/// nested parallel_for runs inline, and a thread that fans out waits
+/// without running a chunk. So no two live steps share a workspace, and
+/// because solve() overwrites everything it reads, no result depends on
+/// which thread a step runs on.
+[[nodiscard]] inline SolverWorkspace& thread_workspace() {
+  thread_local SolverWorkspace ws;
+  return ws;
+}
 
 }  // namespace fedvr::opt

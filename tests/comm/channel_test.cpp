@@ -1,5 +1,6 @@
 // The channel seam: uplink = EF-compensate -> compress -> encode -> decode,
-// plus the byte-derived LinkModel split of the analytic d_com.
+// the per-device error-feedback residuals that recursion keeps, and the
+// byte-derived LinkModel split of the analytic d_com.
 #include "comm/channel.h"
 
 #include <gtest/gtest.h>
@@ -94,7 +95,7 @@ TEST(Channel, TopKUplinkReconstructionKeepsLargestAndTracksResidual) {
   EXPECT_EQ(bytes, kHeaderBytes + 2 * 4 + 2 * 8);
   EXPECT_EQ(bytes, ch.uplink_wire_bytes());
   // The residual holds exactly what compression dropped.
-  const auto e = ch.error_feedback().residual(0);
+  const auto e = ch.residual(0);
   for (std::size_t i = 0; i < dim; ++i) {
     EXPECT_EQ(e[i], original[i] - delta[i]) << i;
   }
@@ -114,9 +115,79 @@ TEST(Channel, ErrorFeedbackReinjectsResidualNextRound) {
   std::vector<double> r2{0.0, 3.0, 1.0, 1.0};
   (void)ch.uplink(0, r2, rng);
   EXPECT_EQ(r2, (std::vector<double>{0.0, 4.0, 0.0, 0.0}));
-  const auto e = ch.error_feedback().residual(0);
+  const auto e = ch.residual(0);
   EXPECT_EQ(std::vector<double>(e.begin(), e.end()),
             (std::vector<double>{0.0, 0.0, 2.0, 2.0}));
+}
+
+ChannelOptions top_k_ef(double fraction) {
+  ChannelOptions opts;
+  opts.compressor = std::make_shared<TopKCompressor>(fraction);
+  opts.error_feedback = true;
+  return opts;
+}
+
+std::vector<double> residual_of(const Channel& ch, std::size_t device) {
+  const auto e = ch.residual(device);
+  return {e.begin(), e.end()};
+}
+
+TEST(Channel, PreparedDevicesStartWithZeroResiduals) {
+  Channel ch(top_k_ef(0.25), 3, 4);
+  const std::vector<std::size_t> devices{0, 1, 2};
+  ch.prepare(devices);
+  for (const std::size_t n : devices) {
+    EXPECT_EQ(residual_of(ch, n), (std::vector<double>(4, 0.0))) << n;
+  }
+  // Only prepared (or uplinked) devices hold a residual.
+  EXPECT_THROW((void)ch.residual(3), Error);
+}
+
+TEST(Channel, RecursionAccumulatesWhatCompressionDropped) {
+  Channel ch(top_k_ef(1.0 / 3.0), 2, 3);  // keep 1 of 3
+  const std::vector<std::size_t> devices{0, 1};
+  ch.prepare(devices);
+  util::Rng rng(1);
+  // Round 1 on device 0: delta {1, 2, 3}; the server receives {0, 0, 3}.
+  std::vector<double> delta{1.0, 2.0, 3.0};
+  (void)ch.uplink(0, delta, rng);
+  EXPECT_EQ(delta, (std::vector<double>{0.0, 0.0, 3.0}));
+  EXPECT_EQ(residual_of(ch, 0), (std::vector<double>{1.0, 2.0, 0.0}));
+
+  // Round 2: the dropped mass rides along with the next delta, which is
+  // compensated to {1.5, 2.5, 0.5} before compression.
+  std::vector<double> next{0.5, 0.5, 0.5};
+  (void)ch.uplink(0, next, rng);
+  EXPECT_EQ(next, (std::vector<double>{0.0, 2.5, 0.0}));
+  EXPECT_EQ(residual_of(ch, 0), (std::vector<double>{1.5, 0.0, 0.5}));
+
+  // Device 1's residual never moved: EF state is strictly per-device.
+  EXPECT_EQ(residual_of(ch, 1), (std::vector<double>(3, 0.0)));
+}
+
+TEST(Channel, ExactTransmissionLeavesNoResidual) {
+  ChannelOptions opts;  // dense float64: the server receives delta exactly
+  opts.error_feedback = true;
+  Channel ch(opts, 1, 4);
+  util::Rng rng(1);
+  std::vector<double> delta{1.0, -2.0, 3.0, -4.0};
+  (void)ch.uplink(0, delta, rng);
+  EXPECT_EQ(delta, (std::vector<double>{1.0, -2.0, 3.0, -4.0}));
+  EXPECT_EQ(residual_of(ch, 0), (std::vector<double>(4, 0.0)));
+}
+
+TEST(Channel, ResetZeroesEveryDevicesResidual) {
+  Channel ch(top_k_ef(0.5), 2, 2);  // keep 1 of 2; ties go to index 0
+  util::Rng rng(1);
+  for (std::size_t n = 0; n < 2; ++n) {
+    std::vector<double> delta{1.0, 1.0};
+    (void)ch.uplink(n, delta, rng);
+    EXPECT_EQ(residual_of(ch, n), (std::vector<double>{0.0, 1.0})) << n;
+  }
+  ch.reset();
+  for (std::size_t n = 0; n < 2; ++n) {
+    EXPECT_EQ(residual_of(ch, n), (std::vector<double>(2, 0.0))) << n;
+  }
 }
 
 TEST(Channel, QuantizedUplinkBoundsError) {
@@ -193,7 +264,7 @@ TEST(Channel, ResetClearsErrorFeedbackResidual) {
   std::vector<double> r1{4.0, 1.0, 1.0, 1.0};
   (void)ch.uplink(0, r1, rng);  // e = {0, 1, 1, 1}
   ch.reset();
-  const auto e = ch.error_feedback().residual(0);
+  const auto e = ch.residual(0);
   EXPECT_EQ(std::vector<double>(e.begin(), e.end()),
             (std::vector<double>(dim, 0.0)));
   // Without a carried residual, {0, 3, 1, 1} sends coordinate 1 as is; with

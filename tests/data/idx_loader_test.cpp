@@ -117,5 +117,38 @@ TEST_F(IdxLoaderTest, TruncatedImageDataThrows) {
   EXPECT_THROW((void)load_idx(path("img_trunc"), path("lbl2")), Error);
 }
 
+// Header counts the files cannot hold must throw before anything is sized
+// from them. The last pair declares 2^32 - 1 images of 65536 x 65536, past
+// vector::max_size() doubles.
+TEST_F(IdxLoaderTest, HeaderCountsBeyondTheFilesThrow) {
+  const auto write_pair = [&](const std::string& name, std::uint32_t n,
+                              std::uint32_t rows, std::uint32_t cols,
+                              int pixel_bytes, int label_bytes) {
+    {
+      std::ofstream out(path(name + ".img"), std::ios::binary);
+      write_be32(out, 0x803);
+      write_be32(out, n);
+      write_be32(out, rows);
+      write_be32(out, cols);
+      for (int i = 0; i < pixel_bytes; ++i) out.put(static_cast<char>(i));
+    }
+    std::ofstream out(path(name + ".lbl"), std::ios::binary);
+    write_be32(out, 0x801);
+    write_be32(out, n);
+    for (int i = 0; i < label_bytes; ++i) out.put(static_cast<char>(i % 10));
+  };
+  const auto load = [&](const std::string& name) {
+    return load_idx(path(name + ".img"), path(name + ".lbl"));
+  };
+  write_pair("images", 1000, 28, 28, 784, 1000);  // 1 of 1000 images
+  EXPECT_THROW((void)load("images"), Error);
+  write_pair("labels", 3, 2, 2, 12, 2);  // 2 of 3 labels
+  EXPECT_THROW((void)load("labels"), Error);
+  write_pair("huge", 0xFFFFFFFFu, 65536, 65536, 16, 16);
+  EXPECT_THROW((void)load("huge"), Error);
+  write_pair("exact", 3, 2, 2, 12, 3);
+  EXPECT_EQ(load("exact").size(), 3U);
+}
+
 }  // namespace
 }  // namespace fedvr::data

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "nn/models.h"
 #include "testing/temp_dir.h"
@@ -75,6 +77,30 @@ TEST_F(CheckpointTest, TruncatedDataThrows) {
   save_parameters(path("c.ckpt"), std::vector<double>(10, 1.0));
   std::filesystem::resize_file(path("c.ckpt"), 40);  // cut into the payload
   EXPECT_THROW((void)load_parameters(path("c.ckpt")), Error);
+}
+
+// A header whose parameter count the file cannot hold must throw before
+// anything is sized from it: 2^61 + 1 doubles is past vector::max_size(),
+// and payload + 1 is one more than the bytes that follow.
+TEST_F(CheckpointTest, HeaderCountBeyondTheFileThrows) {
+  const auto write = [&](const std::string& name, std::uint64_t count,
+                         std::size_t payload) {
+    std::ofstream out(path(name), std::ios::binary);
+    const std::uint64_t magic = 0x46564452'43503031ULL;  // "FVDRCP01"
+    const std::uint32_t version = 1;
+    out.write(reinterpret_cast<const char*>(&magic), sizeof magic);
+    out.write(reinterpret_cast<const char*>(&version), sizeof version);
+    out.write(reinterpret_cast<const char*>(&count), sizeof count);
+    const std::vector<double> w(payload, 1.0);
+    out.write(reinterpret_cast<const char*>(w.data()),
+              static_cast<std::streamsize>(w.size() * sizeof(double)));
+  };
+  write("huge.ckpt", (std::uint64_t{1} << 61) + 1, 1);
+  EXPECT_THROW((void)load_parameters(path("huge.ckpt")), Error);
+  write("plus_one.ckpt", 4, 3);
+  EXPECT_THROW((void)load_parameters(path("plus_one.ckpt")), Error);
+  write("exact.ckpt", 3, 3);
+  EXPECT_EQ(load_parameters(path("exact.ckpt")), std::vector<double>(3, 1.0));
 }
 
 TEST_F(CheckpointTest, TrailingGarbageThrows) {

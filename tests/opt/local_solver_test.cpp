@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "check/check.h"
@@ -47,6 +48,23 @@ TEST(LocalSolver, RejectsInvalidOptions) {
   bad_batch.batch_size = 0;
   EXPECT_THROW(LocalSolver(model, bad_batch), Error);
   EXPECT_THROW(LocalSolver(nullptr, base_options()), Error);
+}
+
+// +inf passes eta > 0, mu >= 0 and schedule_decay >= 0, and would make
+// the first prox step (eq. 10) compute inf/inf. The checks are always on,
+// so this holds with fedvr::check compiled out too.
+TEST(LocalSolver, RejectsInfiniteStepOptions) {
+  const auto model = quad_model(3);
+  const double inf = std::numeric_limits<double>::infinity();
+  auto eta = base_options();
+  eta.eta = inf;
+  EXPECT_THROW(LocalSolver(model, eta), Error);
+  auto mu = base_options();
+  mu.mu = inf;
+  EXPECT_THROW(LocalSolver(model, mu), Error);
+  auto decay = base_options();
+  decay.schedule_decay = inf;
+  EXPECT_THROW(LocalSolver(model, decay), Error);
 }
 
 TEST(LocalSolver, RejectsMismatchedAnchorAndEmptyData) {

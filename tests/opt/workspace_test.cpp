@@ -1,5 +1,5 @@
-// SolverWorkspace / WorkspacePool: the per-device buffer reuse behind the
-// zero-allocation local epochs. The load-bearing property is that the
+// SolverWorkspace / thread_workspace(): the per-thread buffer reuse behind
+// the zero-allocation local epochs. The load-bearing property is that the
 // workspace overload of LocalSolver::solve is *bit-identical* to the
 // classic overload — same floating-point sequence, same RNG draws — no
 // matter how dirty the workspace is from previous solves, and that warm
@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "opt/local_solver.h"
@@ -56,40 +57,17 @@ void expect_same_result(const LocalSolverResult& classic,
   EXPECT_EQ(classic.iterations_run, pooled.iterations_run) << label;
 }
 
-TEST(WorkspacePool, SequentialLeasesReuseOneWorkspace) {
-  WorkspacePool pool;
-  EXPECT_EQ(pool.size(), 0U);
-  SolverWorkspace* first = nullptr;
-  {
-    const WorkspacePool::Lease lease(pool);
-    first = &*lease;
-    (*lease).w_curr.resize(64);
-  }
-  for (int i = 0; i < 5; ++i) {
-    const WorkspacePool::Lease lease(pool);
-    EXPECT_EQ(&*lease, first);
-    // The warmed buffer keeps its capacity across leases.
-    EXPECT_GE(lease->w_curr.capacity(), 64U);
-  }
-  EXPECT_EQ(pool.size(), 1U);
-}
-
-TEST(WorkspacePool, ConcurrentLeasesGetDistinctWorkspaces) {
-  WorkspacePool pool;
-  {
-    const WorkspacePool::Lease a(pool);
-    const WorkspacePool::Lease b(pool);
-    EXPECT_NE(&*a, &*b);
-    EXPECT_EQ(pool.size(), 2U);
-  }
-  // Both returned: the pool grows to peak concurrency, never beyond.
-  {
-    const WorkspacePool::Lease a(pool);
-    const WorkspacePool::Lease b(pool);
-    (void)a;
-    (void)b;
-  }
-  EXPECT_EQ(pool.size(), 2U);
+TEST(ThreadWorkspace, OnePerThreadStableAcrossCalls) {
+  SolverWorkspace* const mine = &thread_workspace();
+  thread_workspace().w_curr.resize(64);
+  // The same workspace on every call, warmed buffers and all.
+  EXPECT_EQ(&thread_workspace(), mine);
+  EXPECT_GE(thread_workspace().w_curr.capacity(), 64U);
+  // Another thread gets a workspace of its own.
+  bool distinct = false;
+  std::thread([&distinct, mine] { distinct = &thread_workspace() != mine; })
+      .join();
+  EXPECT_TRUE(distinct);
 }
 
 // Every estimator / selection / sampling combination the trainer can

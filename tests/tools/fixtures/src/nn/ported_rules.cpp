@@ -46,9 +46,11 @@ std::vector<double> bad_compress(comm::Compressor& comp,
 }
 
 // Negative (scope): unordered iteration only matters in the reduction /
-// serialization dirs; src/nn/ is out of scope for that rule.
+// serialization dirs; src/nn/ is out of scope for that rule. (src/nn is in
+// no-alloc-in-hot-loop's scope, so the push_back needs its reserve().)
 void scoped_unordered_ok(const std::unordered_map<int, double>& table,
                          std::vector<int>& keys) {
+  keys.reserve(table.size());
   for (const auto& kv : table) {
     keys.push_back(kv.first);
   }

@@ -76,7 +76,7 @@ double good_hoisted_buffer(std::size_t iters, std::size_t dim) {
 }
 
 // Allowed: the author asserts the resize is a steady-state no-op (the
-// buffer keeps its capacity across leases) and says why.
+// buffer keeps its capacity across solves) and says why.
 void allowed_warm_resize(Workspace& ws, std::size_t iters, std::size_t dim) {
   for (std::size_t t = 0; t < iters; ++t) {
     // lint:allow(no-alloc-in-hot-loop) fixture: no-op once workspace is warm

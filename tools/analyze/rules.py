@@ -47,10 +47,11 @@ WALLCLOCK_EXEMPT = ("src/obs/", "src/util/stopwatch.h")
 # Directories/files whose loops are per-round / per-iteration hot paths: a
 # heap allocation inside one multiplies by rounds × devices × iterations.
 # The round engine (trainer.*) and the tree aggregator run once per round
-# over every participant, and src/comm encodes every uplink, so they are held
-# to the same standard as the solvers.
+# over every participant, src/comm encodes every uplink, and src/nn computes
+# every gradient and eval chunk, so they are held to the same standard as
+# the solvers.
 HOT_LOOP_DIRS = ("src/opt/", "src/tensor/", "src/core/", "src/comm/",
-                 "src/fl/trainer.", "src/fl/hierarchy.")
+                 "src/nn/", "src/fl/trainer.", "src/fl/hierarchy.")
 
 
 def _under(path: str, prefixes: tuple[str, ...]) -> bool:

@@ -20,8 +20,8 @@ exactly what a *line* can decide without a parse:
   headers-obs-free  Outside src/obs/, headers must not include obs headers.
                     Observability is an implementation detail of .cpp files
                     (thread_pool.cpp, trainer.cpp): keeping it out of
-                    interfaces means -DFEDVR_OBS_DISABLED rebuilds touch
-                    only leaf objects, and no public API depends on it.
+                    interfaces means an obs change rebuilds only leaf
+                    objects, and no public API depends on it.
 
   nolint-needs-reason
                     clang-tidy suppressions must be scoped and justified:
