@@ -56,8 +56,9 @@ opt::LocalSolverOptions solver_options() {
 }
 
 // Shared skeleton: one warm run primes the thread-pool arenas and the
-// trainer's workspace pool outside the timing loop, then the heap
-// allocations across the timed runs are charged per round.
+// per-thread solver workspaces outside the timing loop, then the heap
+// allocations across the timed runs are charged per round. The count is
+// read right after the loop, before the counter map's own insertions.
 void run_trainer_bench(benchmark::State& state, const fl::TrainerOptions& topts,
                        std::size_t updates_per_activation) {
   const auto fed = synthetic_fed();
@@ -72,6 +73,7 @@ void run_trainer_bench(benchmark::State& state, const fl::TrainerOptions& topts,
     benchmark::DoNotOptimize(trace.final_param_hash);
     ++runs;
   }
+  const std::uint64_t allocs = testing::heap_allocations() - heap_before;
   const double rounds = static_cast<double>(runs * kRounds);
   const double activations = rounds * static_cast<double>(kDevices);
   state.counters["devices_per_second"] =
@@ -79,8 +81,7 @@ void run_trainer_bench(benchmark::State& state, const fl::TrainerOptions& topts,
   state.counters["updates_per_second"] = benchmark::Counter(
       activations * static_cast<double>(updates_per_activation),
       benchmark::Counter::kIsRate);
-  state.counters["allocs_per_round"] =
-      static_cast<double>(testing::heap_allocations() - heap_before) / rounds;
+  state.counters["allocs_per_round"] = static_cast<double>(allocs) / rounds;
 }
 
 // FedProxVR (Algorithm 1, kSvrg): the paper's main engine.
@@ -150,14 +151,14 @@ void BM_RoundSampledLargeFleet(benchmark::State& state) {
     benchmark::DoNotOptimize(trace.final_param_hash);
     ++runs;
   }
+  const std::uint64_t allocs = testing::heap_allocations() - heap_before;
   const double rounds = static_cast<double>(runs * kRounds);
   const double activations = rounds * static_cast<double>(kSampled);
   state.counters["devices_per_second"] =
       benchmark::Counter(activations, benchmark::Counter::kIsRate);
   state.counters["updates_per_second"] = benchmark::Counter(
       activations * static_cast<double>(kTau), benchmark::Counter::kIsRate);
-  state.counters["allocs_per_round"] =
-      static_cast<double>(testing::heap_allocations() - heap_before) / rounds;
+  state.counters["allocs_per_round"] = static_cast<double>(allocs) / rounds;
 }
 BENCHMARK(BM_RoundSampledLargeFleet)
     ->Unit(benchmark::kMillisecond)
@@ -184,14 +185,14 @@ void BM_RoundProxSkipVR(benchmark::State& state) {
     benchmark::DoNotOptimize(trace.final_param_hash);
     ++runs;
   }
+  const std::uint64_t allocs = testing::heap_allocations() - heap_before;
   const double iters = static_cast<double>(runs * opts.iterations);
   const double activations = iters * static_cast<double>(kDevices);
   state.counters["devices_per_second"] =
       benchmark::Counter(activations, benchmark::Counter::kIsRate);
   state.counters["updates_per_second"] =
       benchmark::Counter(activations, benchmark::Counter::kIsRate);
-  state.counters["allocs_per_round"] =
-      static_cast<double>(testing::heap_allocations() - heap_before) / iters;
+  state.counters["allocs_per_round"] = static_cast<double>(allocs) / iters;
 }
 BENCHMARK(BM_RoundProxSkipVR)
     ->Unit(benchmark::kMillisecond)

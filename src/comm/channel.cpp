@@ -118,9 +118,4 @@ std::span<const double> Channel::residual(std::size_t device) const {
   return it->second;
 }
 
-void Channel::reset() {
-  // lint:allow(no-unordered-iteration-in-reduction) independent per-slot zero fills; order is unobservable
-  for (auto& [device, e] : residuals_) tensor::fill(e, 0.0);
-}
-
 }  // namespace fedvr::comm

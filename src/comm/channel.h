@@ -141,12 +141,6 @@ class Channel {
   /// derived from `timing`; callers multiply uplink retries on top.
   [[nodiscard]] double link_round_time(const fl::TimingModel& timing) const;
 
-  /// Zeroes error-feedback state (fresh run over the same channel).
-  void reset();
-
-  [[nodiscard]] const ChannelOptions& options() const { return options_; }
-  [[nodiscard]] std::size_t dim() const { return dim_; }
-
   /// The current error-feedback residual of a registered device
   /// (diagnostics, tests).
   [[nodiscard]] std::span<const double> residual(std::size_t device) const;

@@ -5,30 +5,50 @@
 #include <numbers>
 #include <vector>
 
+#include "util/thread_pool.h"
+
 namespace fedvr::data {
 
 namespace {
 
 // ---- Vector-drawing primitives in the normalized [0,1]^2 canvas. ----
 
+struct Rect {  // axis-aligned, x0 <= x1 and y0 <= y1
+  double x0, y0, x1, y1;
+};
+
 struct Segment {
   double x0, y0, x1, y1;
-};
-
-struct Arc {  // ellipse arc, angles in radians, CCW from +x axis
-  double cx, cy, rx, ry;
-  double a0, a1;
-};
-
-struct Box {  // filled axis-aligned rectangle
-  double x0, y0, x1, y1;
+  Rect bounds;
 };
 
 struct Drawing {
-  std::vector<Segment> segments;
-  std::vector<Arc> arcs;
-  std::vector<Box> boxes;
+  std::vector<Segment> segments;  // strokes; arcs are stored as polylines
+  std::vector<Rect> boxes;        // filled rectangles
 };
+
+void add_segment(Drawing& d, double x0, double y0, double x1, double y1) {
+  d.segments.push_back({x0, y0, x1, y1,
+                        {std::min(x0, x1), std::min(y0, y1), std::max(x0, x1),
+                         std::max(y0, y1)}});
+}
+
+// Ellipse arc, angles in radians, CCW from +x axis, as a 24-segment
+// polyline (plenty at 28x28). Built once per class, when the drawings are
+// cached.
+void add_arc(Drawing& d, double cx, double cy, double rx, double ry,
+             double a0, double a1) {
+  constexpr int kSteps = 24;
+  double prev_x = 0.0, prev_y = 0.0;
+  for (int i = 0; i <= kSteps; ++i) {
+    const double t = a0 + (a1 - a0) * i / kSteps;
+    const double x = cx + rx * std::cos(t);
+    const double y = cy + ry * std::sin(t);
+    if (i > 0) add_segment(d, prev_x, prev_y, x, y);
+    prev_x = x;
+    prev_y = y;
+  }
+}
 
 double dist_to_segment(double px, double py, const Segment& s) {
   const double dx = s.x1 - s.x0;
@@ -44,39 +64,34 @@ double dist_to_segment(double px, double py, const Segment& s) {
   return std::hypot(px - qx, py - qy);
 }
 
-double dist_to_arc(double px, double py, const Arc& a) {
-  // Sampled polyline approximation; 24 points is plenty at 28x28.
-  constexpr int kSteps = 24;
-  double best = 1e9;
-  double prev_x = 0.0, prev_y = 0.0;
-  for (int i = 0; i <= kSteps; ++i) {
-    const double t = a.a0 + (a.a1 - a.a0) * i / kSteps;
-    const double x = a.cx + a.rx * std::cos(t);
-    const double y = a.cy + a.ry * std::sin(t);
-    if (i > 0) {
-      best = std::min(best,
-                      dist_to_segment(px, py, Segment{prev_x, prev_y, x, y}));
-    }
-    prev_x = x;
-    prev_y = y;
-  }
-  return best;
-}
-
-double dist_outside_box(double px, double py, const Box& b) {
+double dist_outside_box(double px, double py, const Rect& b) {
   const double dx = std::max({b.x0 - px, 0.0, px - b.x1});
   const double dy = std::max({b.y0 - py, 0.0, py - b.y1});
   return std::hypot(dx, dy);
 }
 
 // "Ink" at a canvas point: 1 inside a stroke, soft anti-aliased edge.
+//
+// The falloff is exactly +0 at every distance d >= 2 pen ((d - pen) / pen
+// rounds to >= 1), and at the 1e9 start value. So a primitive whose bounding
+// box lies more than 2 pen + 1e-9 from the point along x or y is skipped:
+// its computed distance exceeds 2 pen (the projection and hypot err by
+// ~1e-16 in these O(1) coordinates, far below the margin), so it is never
+// the minimum while the minimum is below 2 pen, and the ink is +0 either way
+// otherwise. The minimum over the rest is the same value in any order.
 double ink_at(const Drawing& d, double px, double py, double pen) {
+  const double reach = 2.0 * pen + 1e-9;
+  const auto out_of_reach = [&](const Rect& b) {
+    return px < b.x0 - reach || px > b.x1 + reach || py < b.y0 - reach ||
+           py > b.y1 + reach;
+  };
   double dist = 1e9;
   for (const auto& s : d.segments) {
+    if (out_of_reach(s.bounds)) continue;
     dist = std::min(dist, dist_to_segment(px, py, s));
   }
-  for (const auto& a : d.arcs) dist = std::min(dist, dist_to_arc(px, py, a));
   for (const auto& b : d.boxes) {
+    if (out_of_reach(b)) continue;
     dist = std::min(dist, dist_outside_box(px, py, b));
   }
   // Smoothstep falloff over one pen radius.
@@ -92,12 +107,10 @@ constexpr double kPi = std::numbers::pi;
 Drawing digit_drawing(int label) {
   Drawing d;
   auto seg = [&d](double x0, double y0, double x1, double y1) {
-    d.segments.push_back({x0, y0, x1, y1});
+    add_segment(d, x0, y0, x1, y1);
   };
   auto arc = [&d](double cx, double cy, double rx, double ry, double a0,
-                  double a1) {
-    d.arcs.push_back({cx, cy, rx, ry, a0, a1});
-  };
+                  double a1) { add_arc(d, cx, cy, rx, ry, a0, a1); };
   switch (label) {
     case 0:
       arc(0.5, 0.5, 0.20, 0.28, 0.0, 2.0 * kPi);
@@ -150,15 +163,13 @@ Drawing digit_drawing(int label) {
 Drawing fashion_drawing(int label) {
   Drawing d;
   auto seg = [&d](double x0, double y0, double x1, double y1) {
-    d.segments.push_back({x0, y0, x1, y1});
+    add_segment(d, x0, y0, x1, y1);
   };
   auto box = [&d](double x0, double y0, double x1, double y1) {
     d.boxes.push_back({x0, y0, x1, y1});
   };
   auto arc = [&d](double cx, double cy, double rx, double ry, double a0,
-                  double a1) {
-    d.arcs.push_back({cx, cy, rx, ry, a0, a1});
-  };
+                  double a1) { add_arc(d, cx, cy, rx, ry, a0, a1); };
   switch (label) {
     case 0:  // t-shirt: torso box + short sleeves
       box(0.38, 0.32, 0.62, 0.74);
@@ -239,10 +250,41 @@ const Drawing& class_drawing(ImageFamily family, int label) {
              : fashion[static_cast<std::size_t>(label)];
 }
 
+// Renders every image of `out`, whose labels are set, on the global pool:
+// image i from its own stream fork(seed, i + 1, 0, kData) into its own row,
+// so the pool is the same at every pool size.
+void render_pool(const ProceduralImageConfig& config, std::uint64_t seed,
+                 Dataset& out) {
+  util::ThreadPool::global().parallel_for(0, out.size(), [&](std::size_t i) {
+    util::Rng rng = util::fork(seed, i + 1, 0, util::stream::kData);
+    render_procedural_image(config, out.label(i), rng, out.mutable_sample(i));
+  });
+}
+
 }  // namespace
+
+void ProceduralImageConfig::validate() const {
+  FEDVR_CHECK_MSG(side >= 1, "side must be >= 1, got " << side);
+  FEDVR_CHECK_MSG(std::isfinite(stroke_width) && stroke_width > 0.0,
+                  "stroke_width must be finite and > 0, got " << stroke_width);
+  FEDVR_CHECK_MSG(std::isfinite(noise_stddev) && noise_stddev >= 0.0,
+                  "noise_stddev must be finite and >= 0, got "
+                      << noise_stddev);
+  FEDVR_CHECK_MSG(std::isfinite(min_scale) && std::isfinite(max_scale) &&
+                      min_scale > 0.0 && min_scale <= max_scale,
+                  "scales must be finite with 0 < min_scale <= max_scale, got "
+                      << min_scale << " and " << max_scale);
+  FEDVR_CHECK_MSG(std::isfinite(max_shift) && max_shift >= 0.0,
+                  "max_shift must be finite and >= 0, got " << max_shift);
+  FEDVR_CHECK_MSG(std::isfinite(max_rotate) && max_rotate >= 0.0,
+                  "max_rotate must be finite and >= 0, got " << max_rotate);
+  FEDVR_CHECK_MSG(std::isfinite(max_shear) && max_shear >= 0.0,
+                  "max_shear must be finite and >= 0, got " << max_shear);
+}
 
 void render_procedural_image(const ProceduralImageConfig& config, int label,
                              util::Rng& rng, std::span<double> pixels) {
+  config.validate();
   const std::size_t side = config.side;
   FEDVR_CHECK_MSG(pixels.size() == side * side,
                   "pixel buffer size " << pixels.size() << " != " << side
@@ -288,28 +330,26 @@ void render_procedural_image(const ProceduralImageConfig& config, int label,
 
 Dataset make_procedural_pool(const ProceduralImageConfig& config,
                              std::size_t n, std::uint64_t seed) {
+  config.validate();
   Dataset out(tensor::Shape({1, config.side, config.side}), n, 10);
   util::Rng label_rng = util::fork(seed, 0, 0, util::stream::kData);
   for (std::size_t i = 0; i < n; ++i) {
-    const int label = static_cast<int>(label_rng.below(10));
-    util::Rng sample_rng = util::fork(seed, i + 1, 0, util::stream::kData);
-    render_procedural_image(config, label, sample_rng, out.mutable_sample(i));
-    out.set_label(i, label);
+    out.set_label(i, static_cast<int>(label_rng.below(10)));
   }
+  render_pool(config, seed, out);
   return out;
 }
 
 Dataset make_procedural_pool_balanced(const ProceduralImageConfig& config,
                                       std::size_t per_class,
                                       std::uint64_t seed) {
+  config.validate();
   const std::size_t n = per_class * 10;
   Dataset out(tensor::Shape({1, config.side, config.side}), n, 10);
   for (std::size_t i = 0; i < n; ++i) {
-    const int label = static_cast<int>(i % 10);
-    util::Rng sample_rng = util::fork(seed, i + 1, 0, util::stream::kData);
-    render_procedural_image(config, label, sample_rng, out.mutable_sample(i));
-    out.set_label(i, label);
+    out.set_label(i, static_cast<int>(i % 10));
   }
+  render_pool(config, seed, out);
   return out;
 }
 

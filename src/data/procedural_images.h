@@ -34,6 +34,12 @@ struct ProceduralImageConfig {
   double max_shear = 0.12;
   double stroke_width = 0.055;    // pen radius as fraction of canvas
   double noise_stddev = 0.06;     // additive Gaussian pixel noise
+
+  /// Always-on validation (every build configuration): side >= 1,
+  /// stroke_width > 0, noise_stddev >= 0, 0 < min_scale <= max_scale,
+  /// max_shift, max_rotate and max_shear >= 0, and every value finite.
+  /// Throws util::Error. The renderer and both pool builders call it.
+  void validate() const;
 };
 
 /// Renders one sample of class `label` (0..9) into `pixels`
@@ -41,13 +47,16 @@ struct ProceduralImageConfig {
 void render_procedural_image(const ProceduralImageConfig& config, int label,
                              util::Rng& rng, std::span<double> pixels);
 
-/// Generates a pooled dataset of `n` samples with labels drawn uniformly.
+/// Generates a pooled dataset of `n` samples with labels drawn uniformly
+/// (in index order, from fork(seed, 0, 0, kData)). Image i is rendered from
+/// its own stream, fork(seed, i + 1, 0, kData), on the global thread pool;
+/// the result is the same at every pool size.
 [[nodiscard]] Dataset make_procedural_pool(const ProceduralImageConfig& config,
                                            std::size_t n, std::uint64_t seed);
 
 /// Generates a pooled dataset with exactly `per_class` samples per class
-/// (deterministic label sequence; useful for partitioners that shard by
-/// label).
+/// (label i % 10 at index i; useful for partitioners that shard by label),
+/// rendered as make_procedural_pool renders its images.
 [[nodiscard]] Dataset make_procedural_pool_balanced(
     const ProceduralImageConfig& config, std::size_t per_class,
     std::uint64_t seed);

@@ -176,20 +176,6 @@ TEST(Channel, ExactTransmissionLeavesNoResidual) {
   EXPECT_EQ(residual_of(ch, 0), (std::vector<double>(4, 0.0)));
 }
 
-TEST(Channel, ResetZeroesEveryDevicesResidual) {
-  Channel ch(top_k_ef(0.5), 2, 2);  // keep 1 of 2; ties go to index 0
-  util::Rng rng(1);
-  for (std::size_t n = 0; n < 2; ++n) {
-    std::vector<double> delta{1.0, 1.0};
-    (void)ch.uplink(n, delta, rng);
-    EXPECT_EQ(residual_of(ch, n), (std::vector<double>{0.0, 1.0})) << n;
-  }
-  ch.reset();
-  for (std::size_t n = 0; n < 2; ++n) {
-    EXPECT_EQ(residual_of(ch, n), (std::vector<double>(2, 0.0))) << n;
-  }
-}
-
 TEST(Channel, QuantizedUplinkBoundsError) {
   const std::size_t dim = 64;
   ChannelOptions opts;
@@ -252,26 +238,6 @@ TEST(Channel, ByteTimingSplitsDcomAtTheLatencyConstant) {
                             exchanged / (2.0 * dense);
     EXPECT_NEAR(ch.link_round_time(timing), want, 1e-12) << dtype_name(dtype);
   }
-}
-
-TEST(Channel, ResetClearsErrorFeedbackResidual) {
-  const std::size_t dim = 4;
-  ChannelOptions opts;
-  opts.compressor = std::make_shared<TopKCompressor>(0.25);  // keep 1 of 4
-  opts.error_feedback = true;
-  Channel ch(opts, 1, dim);
-  util::Rng rng(1);
-  std::vector<double> r1{4.0, 1.0, 1.0, 1.0};
-  (void)ch.uplink(0, r1, rng);  // e = {0, 1, 1, 1}
-  ch.reset();
-  const auto e = ch.residual(0);
-  EXPECT_EQ(std::vector<double>(e.begin(), e.end()),
-            (std::vector<double>(dim, 0.0)));
-  // Without a carried residual, {0, 3, 1, 1} sends coordinate 1 as is; with
-  // it, the channel would have sent {0, 4, 0, 0}.
-  std::vector<double> r2{0.0, 3.0, 1.0, 1.0};
-  (void)ch.uplink(0, r2, rng);
-  EXPECT_EQ(r2, (std::vector<double>{0.0, 3.0, 0.0, 0.0}));
 }
 
 TEST(Channel, ByteTimingChargesDcomForDenseAndLessWhenCompressed) {

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
+#include "check/check.h"
 #include "tensor/vecops.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace fedvr::data {
 namespace {
@@ -103,6 +108,40 @@ TEST(ProceduralImages, WrongBufferSizeThrows) {
   EXPECT_THROW(render_procedural_image(cfg, 0, rng, img), Error);
 }
 
+TEST(ProceduralImages, InvalidConfigThrows) {
+  // Always-on checks: these also throw with -DFEDVR_CHECKS=OFF. A zero pen
+  // used to render NaN pixels and a zero scale blank ones.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  using Config = ProceduralImageConfig;
+  const std::pair<double Config::*, double> bad_values[] = {
+      {&Config::stroke_width, 0.0},  {&Config::stroke_width, -0.05},
+      {&Config::stroke_width, kNan}, {&Config::stroke_width, kInf},
+      {&Config::noise_stddev, -0.5}, {&Config::noise_stddev, kNan},
+      {&Config::min_scale, 0.0},     {&Config::min_scale, 1.2},  // > max
+      {&Config::min_scale, kNan},    {&Config::max_scale, kInf},
+      {&Config::max_shift, -0.1},    {&Config::max_shift, kInf},
+      {&Config::max_rotate, -0.2},   {&Config::max_rotate, kNan},
+      {&Config::max_shear, -0.1},    {&Config::max_shear, kInf},
+  };
+  std::vector<Config> configs;
+  for (const auto& [field, value] : bad_values) {
+    configs.emplace_back().*field = value;
+  }
+  configs.emplace_back().side = 0;
+  EXPECT_NO_THROW(Config{}.validate());
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    SCOPED_TRACE(k);
+    const Config& cfg = configs[k];
+    EXPECT_THROW(cfg.validate(), Error);
+    Rng rng(1);
+    std::vector<double> img(cfg.side * cfg.side);
+    EXPECT_THROW(render_procedural_image(cfg, 0, rng, img), Error);
+    EXPECT_THROW((void)make_procedural_pool(cfg, 4, 1), Error);
+    EXPECT_THROW((void)make_procedural_pool_balanced(cfg, 1, 1), Error);
+  }
+}
+
 TEST(ProceduralImages, SupportsSmallerCanvas) {
   ProceduralImageConfig cfg;
   cfg.side = 14;
@@ -136,6 +175,130 @@ TEST(ProceduralPool, SampleShapeIsCHW) {
   ProceduralImageConfig cfg;
   const Dataset pool = make_procedural_pool(cfg, 3, 1);
   EXPECT_EQ(pool.sample_shape(), tensor::Shape({1, 28, 28}));
+}
+
+std::uint64_t label_hash(const Dataset& pool) {
+  std::vector<double> labels(pool.size());
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    labels[i] = static_cast<double>(pool.label(i));
+  }
+  return check::hash_span(labels);
+}
+
+std::uint64_t feature_hash(const Dataset& pool) {
+  return check::hash_span(pool.rows(0, pool.size()));
+}
+
+// Literal hashes of small pools at several pen reaches and canvas sizes, in
+// both families. They pin every pixel's arithmetic (class geometry, reach
+// culling, affine transform, noise draws) and every label draw. The
+// balanced pools draw every class; the pools stay small so that the
+// sanitizer legs stay fast.
+//
+// Unlike trace_pin_test, these pixels go through libm: std::cos/std::sin
+// (arc geometry, rotation), std::hypot (every distance) and the log, sin and
+// cos of util::Rng's Box–Muller noise. The literals were recorded with glibc
+// 2.36 on x86-64, where they hold at every optimization level and under the
+// sanitizers; a libm that rounds any of those differently changes them with
+// no code change. IdenticalAtEveryPoolSizeAndToASerialLoop below is the
+// check that does not depend on libm.
+struct PoolPin {
+  const char* name;
+  ImageFamily family;
+  std::size_t side;
+  double stroke_width;
+  std::size_t n;  // images; per class for the balanced pools
+  bool balanced;
+  std::uint64_t seed;
+  std::uint64_t features;
+  std::uint64_t labels;
+};
+
+constexpr auto kDigits = ImageFamily::kDigits;
+constexpr auto kFashion = ImageFamily::kFashion;
+
+const PoolPin kPoolPins[] = {
+    {"digits", kDigits, 28, 0.055, 40, false, 7,
+     0x301e1f893fd0094eULL, 0xa1cf367daec6113cULL},
+    {"fashion", kFashion, 28, 0.055, 40, false, 7,
+     0x5dbb21506f6031e6ULL, 0xa1cf367daec6113cULL},
+    {"digits_thin", kDigits, 28, 0.02, 3, true, 11,
+     0xcac9d585e45465e7ULL, 0x9940630939f0ae96ULL},
+    {"fashion_thin", kFashion, 28, 0.02, 3, true, 11,
+     0x29d171f4b24573e8ULL, 0x9940630939f0ae96ULL},
+    {"digits_bold", kDigits, 28, 0.15, 3, true, 21,
+     0x04730c41ba8f3a14ULL, 0x9940630939f0ae96ULL},
+    {"fashion_bold", kFashion, 28, 0.15, 3, true, 21,
+     0xd0f1287239e60c33ULL, 0x9940630939f0ae96ULL},
+    {"digits_14", kDigits, 14, 0.055, 3, true, 1101,
+     0x85851b5278280e08ULL, 0x9940630939f0ae96ULL},
+    {"fashion_14", kFashion, 14, 0.055, 3, true, 1101,
+     0x0545694eb68e644cULL, 0x9940630939f0ae96ULL},
+    {"digits_56", kDigits, 56, 0.055, 1, true, 5,
+     0x0f68b30c4573bb7fULL, 0x44c47145b6c11fe2ULL},
+    {"fashion_56", kFashion, 56, 0.055, 1, true, 5,
+     0xd6e618025b84b00eULL, 0x44c47145b6c11fe2ULL},
+};
+
+TEST(ProceduralPool, PinnedBits) {
+  for (const PoolPin& pin : kPoolPins) {
+    SCOPED_TRACE(pin.name);
+    ProceduralImageConfig cfg;
+    cfg.family = pin.family;
+    cfg.side = pin.side;
+    cfg.stroke_width = pin.stroke_width;
+    const Dataset pool =
+        pin.balanced ? make_procedural_pool_balanced(cfg, pin.n, pin.seed)
+                     : make_procedural_pool(cfg, pin.n, pin.seed);
+    EXPECT_EQ(feature_hash(pool), pin.features);
+    EXPECT_EQ(label_hash(pool), pin.labels);
+  }
+}
+
+// The documented streams, rendered serially: image i of class labels[i]
+// from fork(seed, i + 1, 0, kData).
+Dataset serial_pool(const ProceduralImageConfig& cfg,
+                    const std::vector<int>& labels, std::uint64_t seed) {
+  Dataset out(tensor::Shape({1, cfg.side, cfg.side}), labels.size(), 10);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    Rng rng = util::fork(seed, i + 1, 0, util::stream::kData);
+    render_procedural_image(cfg, labels[i], rng, out.mutable_sample(i));
+    out.set_label(i, labels[i]);
+  }
+  return out;
+}
+
+// Both builders render on the global thread pool, each image from its own
+// stream into its own row, so a pool is the same at every pool size and
+// equals the serial loop. The uniform pool draws its labels from
+// fork(seed, 0, 0, kData) in index order; the balanced pool's are i % 10.
+TEST(ProceduralPool, IdenticalAtEveryPoolSizeAndToASerialLoop) {
+  ProceduralImageConfig cfg;
+  cfg.side = 14;
+  constexpr std::uint64_t kSeed = 21;
+  std::vector<int> uniform(37);
+  Rng label_rng = util::fork(kSeed, 0, 0, util::stream::kData);
+  for (int& y : uniform) y = static_cast<int>(label_rng.below(10));
+  std::vector<int> balanced(20);
+  for (std::size_t i = 0; i < balanced.size(); ++i) {
+    balanced[i] = static_cast<int>(i % 10);
+  }
+  for (const ImageFamily family : {kDigits, kFashion}) {
+    cfg.family = family;
+    const Dataset want_uniform = serial_pool(cfg, uniform, kSeed);
+    const Dataset want_balanced = serial_pool(cfg, balanced, kSeed);
+    for (const std::size_t threads : {1, 2, 4}) {
+      SCOPED_TRACE(threads);
+      util::ThreadPool::reset_global(threads);
+      const Dataset pool = make_procedural_pool(cfg, uniform.size(), kSeed);
+      EXPECT_EQ(feature_hash(pool), feature_hash(want_uniform));
+      EXPECT_EQ(label_hash(pool), label_hash(want_uniform));
+      const Dataset even = make_procedural_pool_balanced(cfg, 2, kSeed);
+      EXPECT_EQ(feature_hash(even), feature_hash(want_balanced));
+      EXPECT_EQ(label_hash(even), label_hash(want_balanced));
+    }
+  }
+  util::ThreadPool::reset_global(0);
 }
 
 }  // namespace

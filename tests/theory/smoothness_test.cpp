@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "nn/models.h"
 #include "testing/quadratic_model.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace fedvr::theory {
 namespace {
@@ -83,6 +87,39 @@ TEST(Smoothness, SubsamplesLargeDatasets) {
   Rng rng(31);
   std::vector<double> w(3, 0.0);
   EXPECT_NEAR(estimate_smoothness(model, ds, w, rng, opt), 1.0, 1e-5);
+}
+
+TEST(Smoothness, SameBitsAtEveryPoolSize) {
+  // A CNN's gradient fans its batch out across the thread pool (and its
+  // GEMMs split row blocks there); L must keep its bits at every pool size.
+  nn::CnnConfig cnn;
+  cnn.side = 8;
+  cnn.conv1_channels = 2;
+  cnn.conv2_channels = 3;
+  cnn.kernel = 3;
+  cnn.num_classes = 5;
+  const auto model = nn::make_two_layer_cnn(cnn);
+  data::Dataset ds(tensor::Shape({1, 8, 8}), 40, 5);
+  Rng data_rng(37);
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    for (auto& v : ds.mutable_sample(i)) v = data_rng.normal();
+    ds.set_label(i, static_cast<int>(data_rng.below(5)));
+  }
+  std::vector<double> w(model->num_parameters());
+  for (auto& v : w) v = 0.1 * data_rng.normal();
+  SmoothnessOptions opt;
+  opt.power_iterations = 6;
+  auto at_pool = [&](std::size_t threads) {
+    util::ThreadPool::reset_global(threads);
+    Rng rng(41);
+    return std::bit_cast<std::uint64_t>(
+        estimate_smoothness(*model, ds, w, rng, opt));
+  };
+  const std::uint64_t serial = at_pool(1);
+  const std::uint64_t pooled = at_pool(4);
+  util::ThreadPool::reset_global(0);
+  EXPECT_EQ(serial, pooled);
+  EXPECT_GT(std::bit_cast<double>(serial), 0.0);
 }
 
 }  // namespace

@@ -62,8 +62,9 @@ def summarize(raw: dict) -> dict:
             # Serialization benchmarks report input throughput in bytes/s.
             row["bytes_per_second"] = round(b["bytes_per_second"], 1)
         # Round-throughput counters (micro_rounds): device activations/s,
-        # local solver updates/s, and arena heap events per round (the
-        # zero-allocation steady-state observable — expected ~0).
+        # local solver updates/s, and heap allocations per round (every
+        # operator new the timed runs make, counted by the linked
+        # tests/testing/alloc_counter.cpp; not arena events).
         for key in ("devices_per_second", "updates_per_second",
                     "allocs_per_round"):
             if key in b:
