@@ -64,17 +64,22 @@ Dataset make_synthetic_device(const SyntheticConfig& config,
   }
 
   Dataset out(tensor::Shape({d}), num_samples, c);
-  std::vector<double> logits(c);
-  std::vector<std::size_t> pred(1);
   for (std::size_t i = 0; i < num_samples; ++i) {
     auto x = out.mutable_sample(i);
     for (std::size_t j = 0; j < d; ++j) {
       x[j] = rng.normal(v[j], std::sqrt(sigma_diag[j]));
     }
-    tensor::gemv(tensor::Trans::kNo, c, d, 1.0, w_true, x, 0.0, logits);
-    for (std::size_t j = 0; j < c; ++j) logits[j] += b_true[j];
-    tensor::argmax_rows(1, c, logits, pred);
-    out.set_label(i, static_cast<int>(pred[0]));
+  }
+  // Label every sample at once: y = argmax(W x + b). Labelling draws
+  // nothing from the RNG, so drawing all features first changes no draw.
+  std::vector<double> logits(num_samples * c);
+  tensor::gemm_packed(tensor::Trans::kNo, tensor::Trans::kYes, num_samples, c,
+                      d, 1.0, out.rows(0, num_samples), w_true, 0.0, logits);
+  tensor::add_bias_rows(num_samples, c, logits, b_true);
+  std::vector<std::size_t> pred(num_samples);
+  tensor::argmax_rows(num_samples, c, logits, pred);
+  for (std::size_t i = 0; i < num_samples; ++i) {
+    out.set_label(i, static_cast<int>(pred[i]));
   }
   return out;
 }

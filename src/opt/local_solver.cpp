@@ -239,14 +239,15 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
     FEDVR_CHECK_FINITE(w_curr, "local iterate w^(t+1)");
   }
 
-  // Swap, don't copy: w_out takes the chosen iterate and donates its old
-  // capacity back to the workspace for the next solve.
-  std::vector<double>& chosen =
+  // Copy, don't swap: a swap would hand the workspace w_out's old buffer,
+  // which is empty on a slot's first solve, and the next solve on this
+  // thread would grow w_curr again.
+  const std::vector<double>& chosen =
       (options_.selection == IterateSelection::kUniformRandom &&
        selected_t <= options_.tau)
           ? snapshot
           : w_curr;
-  w_out.swap(chosen);
+  w_out.assign(chosen.begin(), chosen.end());
 
   if (options_.compute_diagnostics) {
     // grad J_n(w) = grad F_n(w) + mu (w - anchor)  (paper eq. 68).

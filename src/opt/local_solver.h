@@ -117,9 +117,9 @@ class LocalSolver {
   /// sequence as solve() above (which wraps this with a throwaway
   /// workspace). Every buffer comes from `ws` and is reused across calls,
   /// so steady-state invocations allocate nothing. The chosen iterate is
-  /// swapped into `w_out` (donating w_out's old capacity back to the
-  /// workspace) and `result.w` stays empty. `w_out` must not alias
-  /// `anchor` or any workspace buffer.
+  /// copied into `w_out`, which allocates only while w_out has less than
+  /// the model's dimension in capacity, and `result.w` stays empty. `w_out`
+  /// must not alias `anchor` or any workspace buffer.
   [[nodiscard]] LocalSolverResult solve(const data::Dataset& train,
                                         std::span<const double> anchor,
                                         util::Rng& rng, SolverWorkspace& ws,

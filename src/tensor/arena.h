@@ -33,7 +33,7 @@ class Workspace;
 class Arena {
  public:
   /// Every span handed out is aligned to this (one x86 cache line, and
-  /// enough for any vector ISA the kernels' target_clones dispatch to).
+  /// one AVX-512 vector, the widest any kernel variant uses).
   static constexpr std::size_t kAlignment = 64;
 
   /// `trim_bytes` caps long-term slab retention: when > 0 and an episode

@@ -5,7 +5,6 @@
 
 #include "check/check.h"
 #include "obs/registry.h"
-#include "tensor/kernel_dispatch.h"
 
 namespace fedvr::tensor {
 
@@ -52,7 +51,6 @@ inline ValidRange valid_range(std::size_t out_extent, std::size_t in_extent,
                    static_cast<std::ptrdiff_t>(in_extent) + pp - kk)};
 }
 
-FEDVR_KERNEL_CLONES
 void im2col_core(const ConvGeometry& g, const double* image, double* cols,
                  std::size_t ld_cols, std::size_t col_offset) {
   const std::size_t out_h = g.out_h();
@@ -107,7 +105,6 @@ void im2col_core(const ConvGeometry& g, const double* image, double* cols,
   }
 }
 
-FEDVR_KERNEL_CLONES
 void col2im_core(const ConvGeometry& g, const double* cols, double* image,
                  std::size_t ld_cols, std::size_t col_offset) {
   const std::size_t out_h = g.out_h();

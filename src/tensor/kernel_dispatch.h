@@ -1,27 +1,5 @@
-// Private: runtime-dispatched SIMD attribute shared by the tensor kernel
-// TUs (kernels.cpp, im2col.cpp), and the GEMM variant test hook. On x86-64
-// GCC, FEDVR_KERNEL_CLONES emits an AVX2+FMA (x86-64-v3) clone of the
-// annotated function next to the portable one and binds the best at load
-// time via IFUNC, so a single binary is portable yet uses the wide units
-// where they exist. FMA contraction changes rounding relative to the
-// default clone, but the selected clone is fixed per machine, which is all
-// the determinism contract (bit-identical runs on one host) requires.
-//
-// Sanitizer builds must not use target_clones: the IFUNC resolvers it
-// emits run during relocation, before the sanitizer runtime initializes,
-// and crash at process start. FEDVR_KERNEL_HAS_CLONES marks builds where
-// target attributes are usable at all (e.g. for hand-picked AVX-512
-// variants next to the cloned ones).
+// Private: the GEMM kernel variant hook of kernels.cpp, for the tensor tests.
 #pragma once
-
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define FEDVR_KERNEL_HAS_CLONES 1
-#define FEDVR_KERNEL_CLONES \
-  __attribute__((target_clones("arch=x86-64-v3", "default")))
-#else
-#define FEDVR_KERNEL_CLONES
-#endif
 
 namespace fedvr::tensor::detail {
 

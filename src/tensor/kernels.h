@@ -1,5 +1,5 @@
-// Matrix kernels: GEMM/GEMV and the elementwise / reduction operations the
-// nn layers are written in terms of.
+// Matrix kernels: GEMM and the elementwise / reduction operations the nn
+// layers are written in terms of.
 //
 // Matrices are dense row-major spans with explicit dimensions; the layers
 // pass views of caller-owned vectors (parameters, gradients, activations).
@@ -11,7 +11,9 @@
 // determinism contract; see DESIGN.md §10). Two unpacked paths take
 // small-C dot products and small-m A^T*B products, and products below 32^3
 // flops run a register-tiled small-product kernel; the selection depends
-// only on the shape and the transposes (DESIGN.md §15).
+// only on the shape and the transposes (DESIGN.md §15). Every path has one
+// FMA arithmetic, so its bits are the same in every build and on every
+// SIMD variant (portable, AVX2, AVX-512) the host picks.
 #pragma once
 
 #include <cstddef>
@@ -43,11 +45,6 @@ void gemm_packed(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
                  std::size_t k, double alpha, std::span<const double> a,
                  std::span<const double> b, double beta, std::span<double> c);
 
-/// y = alpha * op(A) * x + beta * y, with A stored (rows x cols) row-major.
-void gemv(Trans trans, std::size_t rows, std::size_t cols, double alpha,
-          std::span<const double> a, std::span<const double> x, double beta,
-          std::span<double> y);
-
 /// Row-wise argmax of a (rows x cols) matrix.
 void argmax_rows(std::size_t rows, std::size_t cols,
                  std::span<const double> x, std::span<std::size_t> out);
@@ -61,8 +58,8 @@ void sum_rows(std::size_t rows, std::size_t cols, std::span<const double> dy,
               std::span<double> bias_grad);
 
 /// out (cols x rows) = in^T, with in a (rows x cols) row-major matrix.
-/// Tiled + runtime-dispatched; used to materialize W^T once per conv
-/// backward so every per-sample GEMM reads unit-stride operands.
+/// Tiled; used to materialize W^T once per conv backward so every
+/// per-sample GEMM reads unit-stride operands.
 void transpose(std::size_t rows, std::size_t cols, std::span<const double> in,
                std::span<double> out);
 

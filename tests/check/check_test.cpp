@@ -120,9 +120,10 @@ TEST(Check, GemmShapePreconditionTripsThroughKernel) {
   if (!active()) GTEST_SKIP() << "fedvr::check inactive";
   ScopedChecks on(true);
   const std::vector<double> a = {1, 2, 3, 4};
-  const std::vector<double> x = {1.0};  // gemv expects length 2
-  std::vector<double> y(2);
-  EXPECT_THROW(tensor::gemv(tensor::Trans::kNo, 2, 2, 1.0, a, x, 0.0, y),
+  const std::vector<double> b = {1.0};  // a 2x2 B needs 4
+  std::vector<double> c(4);
+  EXPECT_THROW(tensor::gemm_packed(tensor::Trans::kNo, tensor::Trans::kNo, 2,
+                                   2, 2, 1.0, a, b, 0.0, c),
                Error);
 }
 

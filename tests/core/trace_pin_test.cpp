@@ -11,6 +11,14 @@
 // binary fractions and w0 is explicit (no Box–Muller draws, no seeded
 // initialize()), so the rest of the path is plain loops and vecops whose
 // results are the same at every optimization level and on every CI leg.
+//
+// The last three pins run real models through tensor::gemm: a 784 -> 10
+// logistic regression under both engines (Dense's forward on the dot path,
+// its dW on the A^T*B path) and a small CNN whose conv GEMMs take the
+// blocked path. Their literals hold in every build type and on every
+// kernel variant, because each GEMM path has one FMA arithmetic. Their
+// softmax goes through glibc's exp and log, so they were checked with
+// glibc 2.36 only.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +29,7 @@
 #include "comm/compression.h"
 #include "core/proxskip.h"
 #include "fl/trainer.h"
+#include "nn/models.h"
 #include "testing/quadratic_model.h"
 #include "util/rng.h"
 
@@ -235,6 +244,98 @@ TEST(TracePin, ProxSkipVRDenseEveryIteration) {
   ASSERT_EQ(trace.rounds.size(), 4u);
   EXPECT_EQ(trace.final_param_hash, 0x792486f5b3b90135ULL);
   EXPECT_EQ(fingerprint(trace), 0xf872693a8c63229dULL);
+}
+
+// `devices` devices of `n` training and 4 test samples of `shape`, every
+// feature a multiple of 1/8 in [-1, 1), and 10 classes.
+data::FederatedDataset model_fixture(std::size_t devices, std::size_t n,
+                                     const tensor::Shape& shape) {
+  auto make = [&](std::size_t count, std::size_t device, std::size_t salt) {
+    data::Dataset ds(shape, count, 10);
+    for (std::size_t i = 0; i < count; ++i) {
+      auto x = ds.mutable_sample(i);
+      for (std::size_t j = 0; j < x.size(); ++j) {
+        const std::size_t code = (7 * i + 3 * j + 5 * device + salt) % 16;
+        x[j] = 0.125 * static_cast<double>(code) - 1.0;
+      }
+      ds.set_label(i, static_cast<int>((i + 3 * device) % 10));
+    }
+    return ds;
+  };
+  data::FederatedDataset fed;
+  for (std::size_t d = 0; d < devices; ++d) {
+    fed.train.push_back(make(n, d, 0));
+    fed.test.push_back(make(4, d, 9));
+  }
+  return fed;
+}
+
+// An explicit w0 of multiples of 1/256 in [-1/32, 1/32).
+std::vector<double> model_w0(std::size_t dim) {
+  std::vector<double> w(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    w[i] = static_cast<double>((11 * i) % 16) / 256.0 - 0.03125;
+  }
+  return w;
+}
+
+fl::TrainingTrace run_model_pin(std::shared_ptr<nn::FeedForwardModel> model,
+                                const data::FederatedDataset& fed,
+                                std::size_t batch_size) {
+  fl::TrainerOptions opts;
+  opts.rounds = 2;
+  opts.seed = 4;
+  opt::LocalSolverOptions o = svrg_solver();
+  o.tau = 2;
+  o.eta = 0.05;
+  o.batch_size = batch_size;
+  const fl::Trainer trainer(model, fed, opts);
+  return trainer.run(opt::LocalSolver(model, o), "pin",
+                     model_w0(model->num_parameters()));
+}
+
+// Batches of 6: Dense's dW (10 x 784 x 6) clears the 32^3 floor, so it runs
+// on the A^T*B path.
+TEST(TracePin, FedProxVRLogisticRegression784) {
+  const auto fed = model_fixture(3, 12, tensor::Shape({784}));
+  const auto trace =
+      run_model_pin(nn::make_logistic_regression(784, 10), fed, 6);
+  ASSERT_EQ(trace.rounds.size(), 2u);
+  EXPECT_EQ(trace.final_param_hash, 0x25fd826a768d9240ULL);
+  EXPECT_EQ(fingerprint(trace), 0xd390e73a84fd89a7ULL);
+}
+
+// ProxSkip-VR's device step on the same model and fixture: batches of 6
+// with replacement, both Dense paths as above.
+TEST(TracePin, ProxSkipVRLogisticRegression784) {
+  const auto fed = model_fixture(3, 12, tensor::Shape({784}));
+  auto model = nn::make_logistic_regression(784, 10);
+  ProxSkipVROptions opts;
+  opts.iterations = 6;
+  opts.seed = 8;
+  opts.step_size = 0.05;
+  opts.skip_prob = 0.5;
+  opts.batch_size = 6;
+  opts.eval_every = 3;
+  const auto trace = run_proxskip_vr(model, fed, opts, "pin",
+                                     model_w0(model->num_parameters()));
+  ASSERT_EQ(trace.rounds.size(), 2u);
+  EXPECT_EQ(trace.final_param_hash, 0x182a237da24866faULL);
+  EXPECT_EQ(fingerprint(trace), 0xa2b5c7d36386c989ULL);
+}
+
+// 16 x 16 inputs, 8 and 16 channels: conv1's forward (8 x 256 x 25) and
+// all of conv2's GEMMs are at least 32^3 flops and take the blocked path.
+TEST(TracePin, FedProxVRTwoLayerCnn) {
+  nn::CnnConfig cfg;
+  cfg.side = 16;
+  cfg.conv1_channels = 8;
+  cfg.conv2_channels = 16;
+  const auto fed = model_fixture(2, 6, tensor::Shape({1, 16, 16}));
+  const auto trace = run_model_pin(nn::make_two_layer_cnn(cfg), fed, 3);
+  ASSERT_EQ(trace.rounds.size(), 2u);
+  EXPECT_EQ(trace.final_param_hash, 0x154005a725ced8b5ULL);
+  EXPECT_EQ(fingerprint(trace), 0x251c6aa5bd762896ULL);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace fedvr::data {
 namespace {
@@ -90,6 +91,46 @@ TEST(SyntheticDevice, DeterministicInSeedAndDevice) {
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(a.label(i), b.label(i));
     EXPECT_DOUBLE_EQ(a.sample(i)[0], b.sample(i)[0]);
+  }
+}
+
+// A device's first samples do not depend on how many it has: features are
+// drawn sample by sample before any label, and a label is the argmax of
+// logits that the small GEMM path (20 samples) and the blocked one (150)
+// compute with the same FMA chain at dim 60.
+TEST(SyntheticDevice, FirstSamplesDoNotDependOnTheDeviceSize) {
+  SyntheticConfig cfg;
+  const Dataset few = make_synthetic_device(cfg, 3, 20);
+  const Dataset many = make_synthetic_device(cfg, 3, 150);
+  for (std::size_t i = 0; i < few.size(); ++i) {
+    EXPECT_EQ(few.label(i), many.label(i)) << "sample " << i;
+    const auto a = few.sample(i);
+    const auto b = many.sample(i);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "sample " << i;
+  }
+}
+
+TEST(MakeSynthetic, SameDataAtEveryPoolSize) {
+  SyntheticConfig cfg;
+  cfg.num_devices = 6;
+  cfg.min_samples = 40;
+  cfg.max_samples = 400;
+  util::ThreadPool::reset_global(1);
+  const FederatedDataset serial = make_synthetic(cfg);
+  util::ThreadPool::reset_global(3);
+  const FederatedDataset pooled = make_synthetic(cfg);
+  util::ThreadPool::reset_global(0);
+  ASSERT_EQ(serial.num_devices(), pooled.num_devices());
+  for (std::size_t k = 0; k < serial.num_devices(); ++k) {
+    const Dataset& a = serial.train[k];
+    const Dataset& b = pooled.train[k];
+    ASSERT_EQ(a.size(), b.size());
+    const auto fa = a.rows(0, a.size());
+    const auto fb = b.rows(0, b.size());
+    EXPECT_TRUE(std::equal(fa.begin(), fa.end(), fb.begin())) << k;
+    const auto la = a.labels(0, a.size());
+    const auto lb = b.labels(0, b.size());
+    EXPECT_TRUE(std::equal(la.begin(), la.end(), lb.begin())) << k;
   }
 }
 

@@ -17,8 +17,10 @@
 #include "comm/message.h"
 #include "data/federation.h"
 #include "fl/trainer.h"
+#include "opt/local_solver.h"
 #include "testing/alloc_counter.h"
 #include "testing/quadratic_model.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace fedvr::fl {
@@ -101,6 +103,43 @@ TEST(FlAlloc, EncodeNonzerosAllocatesEachBufferOnce) {
   const std::uint64_t allocations = testing::heap_allocations() - before;
   EXPECT_EQ(msg.count(), 61U);
   EXPECT_EQ(allocations, 3U) << "index buffer, value buffer and frame";
+}
+
+// The round engine hands each solve its slot's upload buffer as w_out, and
+// a slot's buffer is empty in a run's first round. LocalSolver::solve
+// copies its iterate into w_out, so the thread's workspace keeps its
+// capacity: after a solve into an empty w_out, a solve on the same thread
+// into a w_out that already has dim capacity allocates nothing. (Swapping
+// the iterate out gave the workspace the empty buffer, and that next solve
+// grew it again, so a round's count followed the pool's scheduling.)
+TEST(FlAlloc, SolveIntoAWarmOutputAllocatesNothing) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  opt::LocalSolverOptions o;
+  o.estimator = opt::Estimator::kSvrg;
+  o.tau = 4;
+  o.eta = 0.2;
+  o.mu = 0.5;
+  o.batch_size = 2;
+  const opt::LocalSolver solver(model, o);
+  const data::Dataset shard = quadratic_dataset(9, kDim, 1.0, 0.3, 77);
+  const std::vector<double> anchor(kDim, 0.5);
+  util::ThreadPool pool(1);
+  const std::uint64_t allocations =
+      pool.submit([&] {
+            opt::SolverWorkspace ws;
+            util::Rng rng(5);
+            std::vector<double> first;
+            (void)solver.solve(shard, anchor, rng, ws, first);
+            std::vector<double> second;
+            second.reserve(kDim);
+            const std::uint64_t before = testing::heap_allocations();
+            (void)solver.solve(shard, anchor, rng, ws, second);
+            const std::uint64_t made = testing::heap_allocations() - before;
+            EXPECT_EQ(second.size(), kDim);
+            return made;
+          })
+          .get();
+  EXPECT_EQ(allocations, 0U);
 }
 
 }  // namespace

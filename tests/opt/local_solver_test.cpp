@@ -112,6 +112,25 @@ TEST(LocalSolver, DeterministicGivenSameRngFork) {
   EXPECT_EQ(a.sample_gradient_evals, b.sample_gradient_evals);
 }
 
+// The workspace solve copies its iterate into w_out: whatever w_out held
+// before, of any size, it ends with the same bits as a fresh solve returns.
+TEST(LocalSolver, WorkspaceSolveOverwritesAnyOutputBuffer) {
+  auto model = quad_model(4);
+  const auto ds = quadratic_dataset(30, 4, 0.0, 2.0, 5);
+  const LocalSolver solver(model, base_options());
+  const std::vector<double> anchor(4, 3.0);
+  Rng r1 = util::fork(9, 1, 1, 0);
+  const auto fresh = solver.solve(ds, anchor, r1);
+  SolverWorkspace ws;
+  for (std::size_t len : {0, 2, 4, 11}) {
+    std::vector<double> w_out(len, -7.5);
+    Rng r2 = util::fork(9, 1, 1, 0);
+    const auto result = solver.solve(ds, anchor, r2, ws, w_out);
+    EXPECT_TRUE(result.w.empty());
+    EXPECT_EQ(w_out, fresh.w) << "w_out held " << len << " values";
+  }
+}
+
 // ---- Estimator exactness on quadratics: SVRG and SARAH reduce to exact
 // full gradients, so all three trajectories coincide (see
 // testing/quadratic_model.h). The definitive check that eq. (8a)/(8b) are

@@ -1,4 +1,4 @@
-// Randomized oracle sweep for the GEMM/GEMV kernels: every result is
+// Randomized oracle sweep for the GEMM kernels: every result is
 // compared against a naive triple-loop reference across all four transpose
 // combos, strided leading dimensions, degenerate shapes (m/n/k in {0,1}),
 // non-unit alpha/beta, and shapes on both sides of every path-selection
@@ -111,52 +111,13 @@ void sweep_gemm() {
   }
 }
 
-void sweep_gemv() {
-  util::Rng rng(77);
-  const std::pair<double, double> coeffs[] = {
-      {1.0, 0.0}, {0.5, 1.0}, {-2.0, 0.75}};
-  const GemmCase shapes[] = {{0, 7, 0},   {1, 1, 0},   {1, 9, 0},
-                             {13, 1, 0},  {37, 29, 0}, {64, 200, 0},
-                             {300, 257, 0}};
-  for (Trans t : {Trans::kNo, Trans::kYes}) {
-    for (const GemmCase& s : shapes) {
-      for (const auto& [alpha, beta] : coeffs) {
-        const std::size_t xn = t == Trans::kNo ? s.n : s.m;
-        const std::size_t yn = t == Trans::kNo ? s.m : s.n;
-        std::vector<double> a(s.m * s.n), x(xn), y(yn);
-        for (auto& v : a) v = rng.normal();
-        for (auto& v : x) v = rng.normal();
-        for (auto& v : y) v = rng.normal();
-        const std::vector<double> y0 = y;
-        gemv(t, s.m, s.n, alpha, a, x, beta, y);
-        const std::size_t inner = t == Trans::kNo ? s.n : s.m;
-        const double tol = 1e-12 * static_cast<double>(inner + 1);
-        for (std::size_t i = 0; i < yn; ++i) {
-          double acc = 0.0;
-          for (std::size_t p = 0; p < inner; ++p) {
-            acc += (t == Trans::kNo ? a[i * s.n + p] : a[p * s.n + i]) * x[p];
-          }
-          const double want = alpha * acc + beta * y0[i];
-          ASSERT_NEAR(y[i], want, tol * (1.0 + std::fabs(want)))
-              << "rows=" << s.m << " cols=" << s.n
-              << " t=" << static_cast<int>(t) << " alpha=" << alpha
-              << " beta=" << beta << " at " << i;
-        }
-      }
-    }
-  }
-}
-
 TEST(GemmOracle, MatchesNaiveReference) { sweep_gemm(); }
-
-TEST(GemvOracle, MatchesNaiveReference) { sweep_gemv(); }
 
 // The kernels must be pure compute: identical behavior with the runtime
 // invariant checks toggled off (the shipped-Release configuration).
 TEST(GemmOracle, MatchesNaiveReferenceWithChecksDisabled) {
   const bool previous = check::set_enabled(false);
   sweep_gemm();
-  sweep_gemv();
   check::set_enabled(previous);
 }
 
@@ -215,11 +176,57 @@ TEST(GemmOracle, BitIdenticalAcrossPoolSizes) {
                            sweep1.size() * sizeof(double)));
 }
 
-// The AVX2 and AVX-512 variants (and the portable one, on hosts that have
-// either) must give the same bits on every path: the dot, A^T*B and small
-// kernels run the same FMA chains in registers of different widths (the
-// portable dot and small kernels in std::fma chains), and the two blocked
-// microkernels differ only in tile shape.
+// The pool-size contract holds on every variant, not only the one gemm
+// picks: the blocked path, the only one that fans out, splits C into the
+// same disjoint row blocks in each.
+TEST(GemmOracle, BitIdenticalAcrossPoolSizesOnEveryVariant) {
+  using detail::KernelIsa;
+  const std::size_t m = 300, n = 200, k = 150;
+  util::Rng rng(5);
+  std::vector<double> a(m * k), b(k * n);
+  for (auto& v : a) v = rng.normal();
+  for (auto& v : b) v = rng.normal();
+  for (KernelIsa isa :
+       {KernelIsa::kPortable, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (!detail::kernel_isa_supported(isa)) continue;
+    const KernelIsa saved = detail::set_kernel_isa(isa);
+    std::vector<double> c1(m * n, 0.0), c3(m * n, 0.0);
+    util::ThreadPool::reset_global(1);
+    gemm_packed(Trans::kNo, Trans::kNo, m, n, k, -0.7, a, b, 0.0, c1);
+    util::ThreadPool::reset_global(3);
+    gemm_packed(Trans::kNo, Trans::kNo, m, n, k, -0.7, a, b, 0.0, c3);
+    util::ThreadPool::reset_global(0);
+    detail::set_kernel_isa(saved);
+    EXPECT_EQ(0, std::memcmp(c1.data(), c3.data(), c1.size() * sizeof(double)))
+        << "variant " << static_cast<int>(isa);
+  }
+}
+
+// gemm runs the widest variant the host supports unless a test switched
+// it, and set_kernel_isa hands back the variant it replaced.
+TEST(KernelVariants, GemmStartsOnTheWidestSupportedVariant) {
+  using detail::KernelIsa;
+  const KernelIsa widest =
+      detail::kernel_isa_supported(KernelIsa::kAvx512) ? KernelIsa::kAvx512
+      : detail::kernel_isa_supported(KernelIsa::kAvx2) ? KernelIsa::kAvx2
+                                                        : KernelIsa::kPortable;
+  const KernelIsa active = detail::set_kernel_isa(KernelIsa::kPortable);
+  detail::set_kernel_isa(active);
+  EXPECT_EQ(active, widest);
+}
+
+TEST(KernelVariants, SetKernelIsaReturnsTheVariantItReplaced) {
+  using detail::KernelIsa;
+  const KernelIsa original = detail::set_kernel_isa(KernelIsa::kPortable);
+  EXPECT_TRUE(detail::kernel_isa_supported(original));
+  EXPECT_EQ(detail::set_kernel_isa(original), KernelIsa::kPortable);
+  EXPECT_EQ(detail::set_kernel_isa(original), original);
+}
+
+// Every variant the host supports must give the same bits on every path:
+// each path's tile is written once over an 8-lane vector (std::fma lanes,
+// two ymm or one zmm), and the blocked microkernels differ only in tile
+// shape. Sanitizer builds run the AVX2 and AVX-512 variants too.
 TEST(GemmOracle, BitIdenticalAcrossKernelVariants) {
   using detail::KernelIsa;
   std::vector<double> first;

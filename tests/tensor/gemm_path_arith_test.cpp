@@ -8,8 +8,9 @@
 //    folds into lanes 0..k%8-1, the lanes are summed in ascending order into
 //    s, then c = fma(alpha, s, c). A row's result must not depend on how
 //    many rows share the call or where it sits among them.
-//  * A^T*B path (A transposed, B untransposed, small m): per 256-deep chunk
-//    of k, an FMA chain from +0 over the chunk, then c = fma(alpha, acc, c).
+//  * A^T*B path (A transposed, B untransposed, small m) and blocked path
+//    (every other shape of at least 32^3 flops): per 256-deep chunk of k,
+//    an FMA chain from +0 over the chunk, then c = fma(alpha, acc, c).
 //  * small path (m*n*k < 32^3, any transposes, unless the dot path takes
 //    it): from the beta-scaled C, c = fma(alpha * a_ip, b_pj, c) for p
 //    ascending, alpha * a_ip rounded first.
@@ -133,54 +134,59 @@ TEST(GemmDotPath, RowsBitIdenticalAloneAndInBatches) {
   }
 }
 
-// Dense's dW += dy^T * x shapes, including a k that spans two chunks and
-// column counts that are not a multiple of any vector width. The variants
-// that have the path must match the FMA-chain reference bit for bit; the
-// portable variant runs these shapes on the blocked path, whose arithmetic
-// is the compiler's.
+// The per-KC-chunk FMA chain. A^T*B path: Dense's dW += dy^T * x shapes,
+// including a k that spans two chunks and column counts that are not a
+// multiple of any vector width. Blocked path: the other transposes, m over
+// the A^T*B path's 60, fleet_sampled's 64 x 10 x 60 eval chunk, a
+// conv-shaped 16 x 576 x 72, a k over two chunks and more than one 60-row
+// block. Every variant must match the reference bit for bit.
 TEST(GemmAtbPath, MatchesChunkedFmaChainReference) {
-  struct Shape {
+  constexpr Trans kN = Trans::kNo;
+  constexpr Trans kT = Trans::kYes;
+  struct Case {
+    Trans ta, tb;
     std::size_t m, n, k;
   };
-  const Shape shapes[] = {{10, 784, 32}, {7, 61, 77},   {10, 33, 300},
-                          {1, 784, 64},  {60, 41, 40},  {13, 101, 513},
-                          {13, 36, 71}};  // just over the 32^3 floor
+  const Case cases[] = {
+      // A^T*B path
+      {kT, kN, 10, 784, 32}, {kT, kN, 7, 61, 77},   {kT, kN, 10, 33, 300},
+      {kT, kN, 1, 784, 64},  {kT, kN, 60, 41, 40},  {kT, kN, 13, 101, 513},
+      {kT, kN, 13, 36, 71},  // just over the 32^3 floor
+      // blocked path
+      {kN, kT, 64, 10, 60},  {kN, kN, 16, 576, 72}, {kT, kN, 61, 41, 40},
+      {kT, kT, 20, 50, 513}, {kN, kN, 128, 61, 300}, {kN, kT, 70, 65, 72}};
   const double alpha = -0.7;  // not a power of two: alpha * acc rounds
   const double beta = 1.25;
   util::Rng rng(2718);
-  bool checked = false;
-  for (const Shape& s : shapes) {
-    std::vector<double> a(s.k * s.m), b(s.k * s.n), c0(s.m * s.n);
-    for (auto& v : a) v = rng.normal();
-    for (auto& v : b) v = rng.normal();
-    for (auto& v : c0) v = rng.normal();
-    std::vector<double> want(c0.size());
+  for (const Case& s : cases) {
+    const Operands in(s.ta, s.tb, s.m, s.n, s.k, 2, rng);
+    std::vector<double> want = in.c;
     for (std::size_t i = 0; i < s.m; ++i) {
       for (std::size_t j = 0; j < s.n; ++j) {
-        double c = beta * c0[i * s.n + j];
+        double c = beta * in.c[i * in.ldc + j];
         for (std::size_t p0 = 0; p0 < s.k; p0 += 256) {
           double acc = 0.0;
           for (std::size_t p = p0; p < std::min(s.k, p0 + 256); ++p) {
-            acc = std::fma(a[p * s.m + i], b[p * s.n + j], acc);
+            acc = std::fma(op_at(s.ta, in.a, in.lda, i, p),
+                           op_at(s.tb, in.b, in.ldb, p, j), acc);
           }
           c = std::fma(alpha, acc, c);
         }
-        want[i * s.n + j] = c;
+        want[i * in.ldc + j] = c;
       }
     }
-    for_each_variant([&](KernelIsa isa) {
-      if (isa == KernelIsa::kPortable) return;
-      std::vector<double> c = c0;
-      gemm_packed(Trans::kYes, Trans::kNo, s.m, s.n, s.k, alpha, a, b, beta,
-                  c);
+    for_each_variant([&](KernelIsa) {
+      std::vector<double> c = in.c;
+      gemm(s.ta, s.tb, s.m, s.n, s.k, alpha, in.a, in.lda, in.b, in.ldb, beta,
+           c, in.ldc);
       for (std::size_t e = 0; e < c.size(); ++e) {
         ASSERT_TRUE(same_bits(c[e], want[e]))
-            << s.m << "x" << s.n << "x" << s.k << " element " << e;
+            << s.m << "x" << s.n << "x" << s.k
+            << " ta=" << static_cast<int>(s.ta)
+            << " tb=" << static_cast<int>(s.tb) << " element " << e;
       }
-      checked = true;
     });
   }
-  if (!checked) GTEST_SKIP() << "no AVX2 or AVX-512 kernel variant here";
 }
 
 // Small-path shapes, each in all four transpose combinations, with and
@@ -238,6 +244,74 @@ TEST(GemmSmallPath, MatchesFmaReference) {
           }
         }
       }
+    }
+  }
+}
+
+// The blocked path's bits for a row do not depend on which rows share its
+// call: rows [37, 101) of a 150-row product, computed on their own, sit at
+// other positions in the 60-row blocks and the register tile's rows.
+TEST(GemmBlockedPath, RowsBitIdenticalInAnyRowRange) {
+  constexpr std::size_t kM = 150, kFirst = 37, kCount = 64;
+  const double alpha = -0.7;
+  util::Rng rng(4669);
+  for (Trans ta : {Trans::kNo, Trans::kYes}) {
+    for (std::size_t k : {72, 300}) {
+      const std::size_t n = 41;
+      const Operands in(ta, Trans::kNo, kM, n, k, 0, rng);
+      // The row range of op(A), stored as the same transpose.
+      std::vector<double> part(kCount * k);
+      for (std::size_t i = 0; i < kCount; ++i) {
+        for (std::size_t p = 0; p < k; ++p) {
+          const std::size_t at =
+              ta == Trans::kNo ? i * k + p : p * kCount + i;
+          part[at] = op_at(ta, in.a, in.lda, kFirst + i, p);
+        }
+      }
+      for_each_variant([&](KernelIsa) {
+        std::vector<double> whole(kM * n), rows(kCount * n);
+        gemm_packed(ta, Trans::kNo, kM, n, k, alpha, in.a, in.b, 0.0, whole);
+        gemm_packed(ta, Trans::kNo, kCount, n, k, alpha, part, in.b, 0.0,
+                    rows);
+        for (std::size_t e = 0; e < rows.size(); ++e) {
+          ASSERT_TRUE(same_bits(rows[e], whole[kFirst * n + e]))
+              << "ta=" << static_cast<int>(ta) << " k=" << k << " element "
+              << e;
+        }
+      });
+    }
+  }
+}
+
+// At alpha = 1, beta = 0 and k <= 256, the small path's chain from +0 and
+// the blocked path's one-chunk chain are the same FMAs, so a row of
+// X * W^T has the same bits alone (small path) as in an 80-row batch
+// (blocked path). data::make_synthetic_device labels its samples with one
+// such product, and relies on it for labels that do not depend on how many
+// samples a device has.
+TEST(GemmSmallPath, RowsMatchTheBlockedPathAtUnitAlpha) {
+  constexpr std::size_t kRows = 80;
+  util::Rng rng(1618);
+  for (std::size_t n : {7, 10}) {
+    for (std::size_t k : {60, 127}) {
+      ASSERT_GE(kRows * n * k, 32U * 32U * 32U);
+      std::vector<double> x(kRows * k), w(n * k);
+      for (auto& v : x) v = rng.normal();
+      for (auto& v : w) v = rng.normal();
+      for_each_variant([&](KernelIsa) {
+        std::vector<double> batch(kRows * n);
+        gemm_packed(Trans::kNo, Trans::kYes, kRows, n, k, 1.0, x, w, 0.0,
+                    batch);
+        for (std::size_t r = 0; r < kRows; ++r) {
+          std::vector<double> alone(n);
+          gemm_packed(Trans::kNo, Trans::kYes, 1, n, k, 1.0,
+                      std::span(x).subspan(r * k, k), w, 0.0, alone);
+          for (std::size_t j = 0; j < n; ++j) {
+            ASSERT_TRUE(same_bits(alone[j], batch[r * n + j]))
+                << "row " << r << " col " << j << " n=" << n << " k=" << k;
+          }
+        }
+      });
     }
   }
 }

@@ -130,44 +130,6 @@ TEST(Gemm, TooSmallStorageThrows) {
                Error);
 }
 
-TEST(Gemv, NoTransposeMatchesManual) {
-  // A = [1 2 3; 4 5 6], x = [1, 1, 1] -> [6, 15]
-  const std::vector<double> a = {1, 2, 3, 4, 5, 6};
-  const std::vector<double> x = {1, 1, 1};
-  std::vector<double> y(2, 0.0);
-  gemv(Trans::kNo, 2, 3, 1.0, a, x, 0.0, y);
-  EXPECT_DOUBLE_EQ(y[0], 6);
-  EXPECT_DOUBLE_EQ(y[1], 15);
-}
-
-TEST(Gemv, TransposeMatchesManual) {
-  // A^T * x with A (2x3), x len 2: [1 4; 2 5; 3 6] * [1; 2] = [9, 12, 15]
-  const std::vector<double> a = {1, 2, 3, 4, 5, 6};
-  const std::vector<double> x = {1, 2};
-  std::vector<double> y(3, 0.0);
-  gemv(Trans::kYes, 2, 3, 1.0, a, x, 0.0, y);
-  EXPECT_DOUBLE_EQ(y[0], 9);
-  EXPECT_DOUBLE_EQ(y[1], 12);
-  EXPECT_DOUBLE_EQ(y[2], 15);
-}
-
-TEST(Gemv, BetaAccumulates) {
-  const std::vector<double> a = {1, 0, 0, 1};
-  const std::vector<double> x = {3, 4};
-  std::vector<double> y = {100, 200};
-  gemv(Trans::kNo, 2, 2, 1.0, a, x, 1.0, y);
-  EXPECT_DOUBLE_EQ(y[0], 103);
-  EXPECT_DOUBLE_EQ(y[1], 204);
-}
-
-TEST(Gemv, WrongVectorLengthThrows) {
-  if (!check::active()) GTEST_SKIP() << "fedvr::check inactive";
-  const std::vector<double> a = {1, 2, 3, 4};
-  const std::vector<double> x = {1.0};  // should be 2
-  std::vector<double> y(2);
-  EXPECT_THROW(gemv(Trans::kNo, 2, 2, 1.0, a, x, 0.0, y), Error);
-}
-
 TEST(ArgmaxRows, PicksFirstMaximum) {
   const std::vector<double> x = {0, 5, 5, 1,   // -> 1 (first of ties)
                                  9, 2, 3, 4};  // -> 0

@@ -30,6 +30,14 @@ exactly what a *line* can decide without a parse:
                     the line forever and reviews cannot tell why it is
                     there. Same policy as the analyzer's lint:allow tags.
 
+  one-isa-dispatch  The GEMM kernel variants are picked in one place,
+                    kernel_shape() in src/tensor/kernels.cpp, whose target
+                    regions compile each variant. `target_clones` (an IFUNC
+                    dispatch of its own, with whatever arithmetic the
+                    compiler's FMA contraction makes) is banned everywhere,
+                    and `#pragma GCC target` / `target(...)` attributes are
+                    allowed in that one file only.
+
 False positives are silenced with `// lint:allow(<rule>) <why>` on the
 offending line or the line directly above it — the justification is
 mandatory and shows up in review.
@@ -56,6 +64,13 @@ NOLINT_JUSTIFIED = re.compile(
     r"\bNOLINT(?:NEXTLINE|BEGIN)?\([\w.-]+(?:\s*,\s*[\w.-]+)*\)\s*--\s*\S"
     r"|\bNOLINTEND\b")
 
+# The one file whose target regions compile the SIMD kernel variants.
+ISA_DISPATCH_FILE = SRC / "tensor" / "kernels.cpp"
+TARGET_CLONES = re.compile(r"target_clones")
+ISA_TARGET = re.compile(
+    r"target_clones|#\s*pragma\s+GCC\s+target\b"
+    r"|__attribute__\s*\(\(\s*target\s*\(|\[\[\s*gnu::target\s*\(")
+
 # (rule, pattern, file-filter, message)
 RULES = [
     (
@@ -81,6 +96,14 @@ RULES = [
         "`NOLINT(check-name) -- why` (NOLINTEND closes a justified "
         "NOLINTBEGIN and needs no reason of its own)",
     ),
+    (
+        "one-isa-dispatch",
+        ISA_TARGET,
+        lambda p: True,
+        "no target_clones anywhere; target pragmas and attributes only in "
+        "src/tensor/kernels.cpp, whose kernel_shape() is the one ISA "
+        "dispatch",
+    ),
 ]
 
 def lint_file(path: Path) -> list[str]:
@@ -100,6 +123,9 @@ def lint_file(path: Path) -> list[str]:
             if not pattern.search(raw):
                 continue
             if rule == "nolint-needs-reason" and NOLINT_JUSTIFIED.search(raw):
+                continue
+            if (rule == "one-isa-dispatch" and path == ISA_DISPATCH_FILE
+                    and not TARGET_CLONES.search(raw)):
                 continue
             if allow and allow.group(1) == rule:
                 continue
