@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "fl/trainer.h"
 #include "opt/workspace.h"
@@ -182,7 +181,8 @@ class ProxSkipVRPolicy final : public fl::RoundPolicy {
     return std::span<double>(slab).subspan(n * dim_, dim_);
   }
 
-  void for_each_device(const std::function<void(std::size_t)>& f) const {
+  template <typename F>
+  void for_each_device(const F& f) const {
     util::ThreadPool& pool = util::ThreadPool::global();
     if (options_.parallel && pool.size() > 1) {
       pool.parallel_for(0, fed_.num_devices(), f);

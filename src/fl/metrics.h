@@ -99,8 +99,7 @@ struct RoundMetrics {
 struct TrainingTrace {
   std::string algorithm;
   std::vector<RoundMetrics> rounds;
-  /// The global model w̄^(T) after the last round — checkpoint or deploy it
-  /// (see nn::save_parameters).
+  /// The global model w̄^(T) after the last round: the last eval row's model.
   std::vector<double> final_parameters;
   /// FNV-1a hash of final_parameters — the determinism-audit fingerprint.
   std::uint64_t final_param_hash = 0;

@@ -65,12 +65,11 @@ class PhaseTimer {
 /// 12). Every round communicates.
 class FedProxVRPolicy final : public RoundPolicy {
  public:
-  /// One solver for every device, or one per device.
   FedProxVRPolicy(const data::Federation& fed, const TrainerOptions& options,
-                  std::span<const opt::LocalSolver> solvers)
+                  const opt::LocalSolver& solver)
       : fed_(fed),
         options_(options),
-        solvers_(solvers),
+        solver_(solver),
         // A null option selects the weighted mean, whose reduce order and
         // arithmetic are bit-identical to the pre-seam trainer.
         aggregator_(options.aggregator
@@ -110,15 +109,13 @@ class FedProxVRPolicy final : public RoundPolicy {
     // this device-local scratch.
     data::Dataset shard_scratch;
     const data::Dataset& shard = fed_.train(device, shard_scratch);
-    const opt::LocalSolver& solver =
-        solvers_.size() == 1 ? solvers_.front() : solvers_[device];
     opt::SolverWorkspace& ws = opt::thread_workspace();
-    const auto result = solver.solve(shard, w_, rng, ws, local);
+    const auto result = solver_.solve(shard, w_, rng, ws, local);
     StepResult out{.grad_evals = result.sample_gradient_evals,
                    .iterations = result.iterations_run};
     // θ exists only where the solver computed its diagnostics; any other
     // solve leaves it "not measured".
-    if (solver.options().compute_diagnostics) {
+    if (solver_.options().compute_diagnostics) {
       out.theta = result.measured_theta;
     }
     if (transforms_) {
@@ -244,7 +241,7 @@ class FedProxVRPolicy final : public RoundPolicy {
 
   const data::Federation& fed_;
   const TrainerOptions& options_;
-  std::span<const opt::LocalSolver> solvers_;
+  const opt::LocalSolver& solver_;
   std::shared_ptr<const Aggregator> aggregator_;
   bool transforms_;
   bool replay_possible_;
@@ -757,24 +754,8 @@ double Trainer::test_accuracy(std::span<const double> w) const {
 TrainingTrace Trainer::run(const opt::LocalSolver& solver,
                            const std::string& name,
                            std::optional<std::vector<double>> w0) const {
-  FedProxVRPolicy policy(*fed_, options_,
-                         std::span<const opt::LocalSolver>(&solver, 1));
+  FedProxVRPolicy policy(*fed_, options_, solver);
   return run(policy, solver.options().tau, name, std::move(w0));
-}
-
-TrainingTrace Trainer::run(std::span<const opt::LocalSolver> solvers,
-                           const std::string& name,
-                           std::optional<std::vector<double>> w0) const {
-  FEDVR_CHECK_MSG(solvers.size() == fed_->num_devices(),
-                  "got " << solvers.size() << " solvers for "
-                         << fed_->num_devices() << " devices");
-  // Synchronous rounds wait for the slowest device.
-  std::size_t max_tau = 0;
-  for (const auto& s : solvers) {
-    max_tau = std::max(max_tau, s.options().tau);
-  }
-  FedProxVRPolicy policy(*fed_, options_, solvers);
-  return run(policy, max_tau, name, std::move(w0));
 }
 
 TrainingTrace Trainer::run(RoundPolicy& policy, std::size_t timing_tau,

@@ -22,7 +22,7 @@
 // The algorithm-specific parts sit behind a RoundPolicy: the local step and
 // its upload, the server update (and how many devices its model is
 // broadcast to), the point metrics and final_parameters are taken at, and
-// whether round s communicates at all. The run(LocalSolver) overloads are
+// whether round s communicates at all. The run(LocalSolver) overload is
 // the FedProxVR policy — opt::LocalSolver locally, the server defense plus
 // the fl::Aggregator line-12 rule on the server, every round communicating.
 // ProxSkip-VR (core/proxskip.h) is a second policy over the same engine.
@@ -222,14 +222,6 @@ class Trainer {
   /// initialization (or `w0` if provided). `name` labels the trace.
   [[nodiscard]] TrainingTrace run(
       const opt::LocalSolver& solver, const std::string& name,
-      std::optional<std::vector<double>> w0 = std::nullopt) const;
-
-  /// Heterogeneous-device variant (paper §3: per-device L_n, lambda_n):
-  /// device n runs solvers[n], which may differ in step size, tau, or
-  /// estimator. solvers.size() must equal the device count. The timing
-  /// model charges the slowest device's tau per round (synchronous rounds).
-  [[nodiscard]] TrainingTrace run(
-      std::span<const opt::LocalSolver> solvers, const std::string& name,
       std::optional<std::vector<double>> w0 = std::nullopt) const;
 
   /// The round engine: runs `policy` for options().rounds rounds from w0

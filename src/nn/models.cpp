@@ -18,34 +18,6 @@ std::shared_ptr<FeedForwardModel> make_logistic_regression(
   return std::make_shared<FeedForwardModel>(std::move(net), l2_reg);
 }
 
-namespace {
-std::unique_ptr<Layer> make_activation(const std::string& kind,
-                                       std::size_t size) {
-  if (kind == "relu") return std::make_unique<ReluLayer>(size);
-  if (kind == "tanh") return std::make_unique<TanhLayer>(size);
-  if (kind == "sigmoid") return std::make_unique<SigmoidLayer>(size);
-  FEDVR_CHECK_MSG(false, "unknown activation '" << kind
-                             << "' (expected relu/tanh/sigmoid)");
-  return nullptr;  // unreachable
-}
-}  // namespace
-
-std::shared_ptr<FeedForwardModel> make_mlp(const MlpConfig& config) {
-  FEDVR_CHECK(config.input_dim > 0 && config.num_classes >= 2);
-  std::vector<std::unique_ptr<Layer>> layers;
-  layers.reserve(2 * config.hidden.size() + 1);
-  std::size_t width = config.input_dim;
-  for (std::size_t hidden : config.hidden) {
-    FEDVR_CHECK_MSG(hidden > 0, "hidden layer width must be positive");
-    layers.push_back(std::make_unique<DenseLayer>(width, hidden));
-    layers.push_back(make_activation(config.activation, hidden));
-    width = hidden;
-  }
-  layers.push_back(std::make_unique<DenseLayer>(width, config.num_classes));
-  auto net = std::make_shared<const Sequential>(std::move(layers));
-  return std::make_shared<FeedForwardModel>(std::move(net), config.l2_reg);
-}
-
 std::shared_ptr<FeedForwardModel> make_two_layer_cnn(const CnnConfig& config) {
   FEDVR_CHECK_MSG(config.side % 4 == 0,
                   "CNN input side must be divisible by 4 (two 2x2 pools), got "

@@ -2,8 +2,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "nn/feedforward.h"
 
@@ -23,21 +21,6 @@ struct CnnConfig {
   std::size_t num_classes = 10;
   double l2_reg = 0.0;
 };
-
-struct MlpConfig {
-  std::size_t input_dim = 784;
-  std::vector<std::size_t> hidden = {64, 32};  // hidden layer widths
-  std::size_t num_classes = 10;
-  /// "relu", "tanh", or "sigmoid".
-  std::string activation = "relu";
-  double l2_reg = 0.0;
-};
-
-/// Multi-layer perceptron: Dense/activation stacks into softmax
-/// cross-entropy. A second non-convex model family besides the CNN —
-/// useful when convolution cost is unwarranted.
-[[nodiscard]] std::shared_ptr<FeedForwardModel> make_mlp(
-    const MlpConfig& config);
 
 /// The paper's non-convex task: conv5x5(32) -> ReLU -> maxpool2 ->
 /// conv5x5(64) -> ReLU -> maxpool2 -> dense -> softmax ("structure similar

@@ -12,56 +12,6 @@
 
 namespace fedvr::opt {
 
-namespace {
-
-// Draws inner-loop mini-batches under either sampling scheme. A batch that
-// covers the dataset degenerates to the deterministic full batch. The
-// permutation buffer is caller-owned (SolverWorkspace) so repeat solves
-// reuse its capacity.
-class BatchSampler {
- public:
-  BatchSampler(Sampling mode, std::size_t n, std::size_t batch_size,
-               std::vector<std::size_t>& permutation)
-      : mode_(mode),
-        n_(n),
-        batch_size_(std::min(batch_size, n)),
-        permutation_(permutation) {
-    if (mode_ == Sampling::kShuffledEpochs && batch_size_ < n_) {
-      permutation_.resize(n_);
-      std::iota(permutation_.begin(), permutation_.end(), 0);
-      cursor_ = n_;  // force a shuffle on first use
-    }
-  }
-
-  void next(util::Rng& rng, std::vector<std::size_t>& out) {
-    out.resize(batch_size_);
-    if (batch_size_ == n_) {
-      std::iota(out.begin(), out.end(), 0);
-      return;
-    }
-    if (mode_ == Sampling::kWithReplacement) {
-      for (auto& idx : out) idx = rng.below(n_);
-      return;
-    }
-    for (auto& idx : out) {
-      if (cursor_ >= n_) {
-        rng.shuffle(std::span<std::size_t>(permutation_));
-        cursor_ = 0;
-      }
-      idx = permutation_[cursor_++];
-    }
-  }
-
- private:
-  Sampling mode_;
-  std::size_t n_;
-  std::size_t batch_size_;
-  std::vector<std::size_t>& permutation_;
-  std::size_t cursor_ = 0;
-};
-
-}  // namespace
-
 LocalSolver::LocalSolver(std::shared_ptr<const nn::Model> model,
                          LocalSolverOptions options)
     : model_(std::move(model)), options_(options) {
@@ -74,10 +24,6 @@ LocalSolver::LocalSolver(std::shared_ptr<const nn::Model> model,
   FEDVR_CHECK_MSG(std::isfinite(options_.schedule_decay) &&
                       options_.schedule_decay >= 0.0,
                   "schedule decay must be nonnegative and finite");
-  FEDVR_CHECK_MSG(options_.adaptive_theta >= 0.0 &&
-                      options_.adaptive_theta < 1.0,
-                  "adaptive_theta must be in [0, 1)");
-  FEDVR_CHECK(options_.theta_check_every >= 1);
 }
 
 LocalSolverResult LocalSolver::solve(const data::Dataset& train,
@@ -135,10 +81,7 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
   result.anchor_grad_norm = tensor::nrm2(v);
   FEDVR_OBS_COUNT("solver.anchor_gradients", 1);
 
-  // Cleared, not resized: an adaptive-theta break before t' must leave the
-  // snapshot empty, exactly as a freshly constructed vector would be.
   std::vector<double>& snapshot = ws.snapshot;
-  snapshot.clear();
   if (selected_t == 0) snapshot.assign(w_prev.begin(), w_prev.end());
 
   // First prox step: w^(1) = prox(w^(0) - eta_0 v^(0)).
@@ -158,9 +101,16 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
   }
   const std::vector<double>& v0 = ws.v0;
   const std::vector<double>& anchor_w = ws.anchor_w;
-  BatchSampler sampler(options_.sampling, n, options_.batch_size,
-                       ws.permutation);
+  // Line 6: B i.i.d. uniform draws with replacement. A batch that covers
+  // the dataset degenerates to the deterministic full batch.
   std::vector<std::size_t>& batch = ws.batch;
+  batch.resize(std::min(options_.batch_size, n));
+  if (batch.size() == n) std::iota(batch.begin(), batch.end(), 0);
+  auto draw_batch = [&] {
+    if (batch.size() < n) {
+      for (auto& idx : batch) idx = rng.below(n);
+    }
+  };
   // The two-point estimators evaluate one mini-batch twice: copy its rows
   // once, in draw order, and hand the model the contiguous run 0..B-1 of
   // the copy, which it reads in place.
@@ -170,40 +120,20 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
     return std::span<const std::size_t>(full_idx).first(batch.size());
   };
 
-  // The eq. 11 stopping criterion, measured with a full local gradient:
-  // ||grad J_n(w)|| <= theta ||grad F_n(anchor)||.
-  auto theta_criterion_met = [&](std::span<const double> w) {
-    std::vector<double>& grad_j = ws.grad_j;
-    grad_j.resize(dim);
-    (void)model_->loss_and_gradient(w, train, full_idx, grad_j);
-    result.sample_gradient_evals += n;
-    for (std::size_t i = 0; i < dim; ++i) {
-      grad_j[i] += options_.mu * (w[i] - anchor[i]);
-    }
-    return tensor::nrm2(grad_j) <=
-           options_.adaptive_theta * result.anchor_grad_norm;
-  };
-
   // Lines 5-9: tau inner iterations. Iteration t consumes w^(t) (w_curr)
   // and w^(t-1) (w_prev) and produces w^(t+1).
   for (std::size_t t = 1; t <= options_.tau; ++t) {
     if (t == selected_t) snapshot.assign(w_curr.begin(), w_curr.end());
-    result.iterations_run = t;
-    if (options_.adaptive_theta > 0.0 &&
-        t % options_.theta_check_every == 0 && theta_criterion_met(w_curr)) {
-      result.iterations_run = t - 1;  // w_curr already satisfies eq. 11
-      break;
-    }
     switch (options_.estimator) {
       case Estimator::kSgd: {
-        sampler.next(rng, batch);
+        draw_batch();
         (void)model_->loss_and_gradient(w_curr, train, batch, v);
         result.sample_gradient_evals += batch.size();
         break;
       }
       case Estimator::kSvrg: {
         // v_t = grad f_i(w_t) - grad f_i(w_0) + v_0   (eq. 8b)
-        sampler.next(rng, batch);
+        draw_batch();
         const auto rows = copy_batch_rows();
         (void)model_->loss_and_gradient(w_curr, batch_rows, rows, grad_curr);
         (void)model_->loss_and_gradient(anchor_w, batch_rows, rows, grad_ref);
@@ -213,7 +143,7 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
       }
       case Estimator::kSarah: {
         // v_t = grad f_i(w_t) - grad f_i(w_{t-1}) + v_{t-1}   (eq. 8a)
-        sampler.next(rng, batch);
+        draw_batch();
         const auto rows = copy_batch_rows();
         (void)model_->loss_and_gradient(w_curr, batch_rows, rows, grad_curr);
         (void)model_->loss_and_gradient(w_prev, batch_rows, rows, grad_ref);
@@ -238,6 +168,7 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
                                w_curr);
     FEDVR_CHECK_FINITE(w_curr, "local iterate w^(t+1)");
   }
+  result.iterations_run = options_.tau;
 
   // Copy, don't swap: a swap would hand the workspace w_out's old buffer,
   // which is empty on a slot's first solve, and the next solve on this

@@ -28,12 +28,6 @@ enum class IterateSelection {
   kUniformRandom,  // t' uniform on {0..tau} — what the analysis assumes
 };
 
-/// How inner mini-batches are drawn (Algorithm 1 line 6).
-enum class Sampling {
-  kWithReplacement,  // i.i.d. uniform draws — what the analysis assumes
-  kShuffledEpochs,   // cycle a reshuffled permutation — FedAvg practice
-};
-
 /// Step-size schedule. The paper argues a *fixed* step is the practical
 /// choice (§4.2 footnote); the diminishing variant exists to test that
 /// claim empirically (see bench/ablation_step_schedule).
@@ -47,24 +41,16 @@ struct LocalSolverOptions {
   std::size_t tau = 20;        // inner iterations (line 5)
   double eta = 0.1;            // step size; callers set eta = 1/(beta L)
   double mu = 0.1;             // proximal penalty of h_s (eq. 7)
-  std::size_t batch_size = 1;  // mini-batch B (Alg. 1 samples 1; §5 uses B)
+  /// Mini-batch B (Alg. 1 samples 1; §5 uses B), drawn i.i.d. uniformly
+  /// with replacement (line 6); a B that covers the shard is the full batch.
+  std::size_t batch_size = 1;
   IterateSelection selection = IterateSelection::kLast;
-  Sampling sampling = Sampling::kWithReplacement;
   StepSchedule schedule = StepSchedule::kConstant;
   double schedule_decay = 0.1;  // only used by kDiminishing
   /// When true, the result carries ||grad J_n|| at the returned iterate and
   /// the measured local accuracy theta (eq. 11). Costs one full-batch
   /// gradient; off on the hot path.
   bool compute_diagnostics = false;
-
-  /// Adaptive theta-stopping (the paper's eq. 11 as an actual stopping
-  /// rule): when > 0, the inner loop additionally stops as soon as
-  /// ||grad J_n(w^(t))|| <= adaptive_theta * ||grad F_n(anchor)||, checked
-  /// every `theta_check_every` iterations with a full local gradient. tau
-  /// remains the hard budget. 0 disables the check (the §5 experiments fix
-  /// tau instead).
-  double adaptive_theta = 0.0;
-  std::size_t theta_check_every = 10;
 
   /// Optional inner-loop observer for instrumentation (tests, estimator
   /// ablations): called after each estimator update with (t, v_t, w_t)
@@ -94,8 +80,8 @@ struct LocalSolverResult {
   /// cost the paper's d_cmp models.
   std::size_t sample_gradient_evals = 0;
 
-  /// Inner iterations actually executed (== tau unless adaptive theta
-  /// stopping fired earlier).
+  /// Inner iterations executed (always tau; the engine's measured d_cmp
+  /// reads it).
   std::size_t iterations_run = 0;
 };
 

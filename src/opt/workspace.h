@@ -33,8 +33,7 @@ struct SolverWorkspace {
   std::vector<double> v0;        // SVRG anchor direction
   std::vector<double> anchor_w;  // SVRG gradient reference point
   std::vector<double> snapshot;  // kUniformRandom iterate snapshot
-  std::vector<double> grad_j;    // full surrogate gradient (theta checks,
-                                 // diagnostics)
+  std::vector<double> grad_j;    // full surrogate gradient (diagnostics)
   // The drawn mini-batch's rows, copied once per SVRG/SARAH step so both
   // gradient calls read them in place (Dataset::assign_rows reuses the
   // storage).
@@ -42,7 +41,6 @@ struct SolverWorkspace {
   // Index buffers.
   std::vector<std::size_t> batch;
   std::vector<std::size_t> full_idx;
-  std::vector<std::size_t> permutation;  // kShuffledEpochs sampling order
   // Caller-side staging: upload deltas, per-device comm scratch.
   std::vector<double> delta;
 };

@@ -6,11 +6,6 @@
 
 namespace fedvr::tensor {
 
-void fill_normal(util::Rng& rng, std::span<double> x, double mean,
-                 double stddev) {
-  for (double& v : x) v = rng.normal(mean, stddev);
-}
-
 void fill_uniform(util::Rng& rng, std::span<double> x, double lo, double hi) {
   for (double& v : x) v = rng.uniform(lo, hi);
 }

@@ -7,10 +7,6 @@
 
 namespace fedvr::tensor {
 
-/// Fills with N(mean, stddev^2).
-void fill_normal(util::Rng& rng, std::span<double> x, double mean,
-                 double stddev);
-
 /// Fills with U[lo, hi).
 void fill_uniform(util::Rng& rng, std::span<double> x, double lo, double hi);
 

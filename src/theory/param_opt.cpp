@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <limits>
-#include <span>
+#include <vector>
 
 #include "util/error.h"
 
@@ -107,20 +107,6 @@ std::optional<OptimalParams> optimize_parameters(double gamma,
     mu_radius *= 0.7;
   }
   return fill_params(beta, mu, gamma, pc);
-}
-
-std::vector<std::pair<double, OptimalParams>> sweep_gamma(
-    std::span<const double> gammas, const ProblemConstants& pc,
-    const ParamOptOptions& opt) {
-  std::vector<std::pair<double, OptimalParams>> out;
-  out.reserve(gammas.size());
-  for (double gamma : gammas) {
-    const auto p = optimize_parameters(gamma, pc, opt);
-    FEDVR_CHECK_MSG(p.has_value(),
-                    "no feasible FedProxVR parameters for gamma = " << gamma);
-    out.emplace_back(gamma, *p);
-  }
-  return out;
 }
 
 }  // namespace fedvr::theory

@@ -9,10 +9,8 @@
 // for Fig. 1.
 #pragma once
 
+#include <cstddef>
 #include <optional>
-#include <span>
-#include <utility>
-#include <vector>
 
 #include "theory/bounds.h"
 
@@ -44,10 +42,5 @@ struct ParamOptOptions {
 /// Returns nullopt only if no feasible point exists in the search box.
 [[nodiscard]] std::optional<OptimalParams> optimize_parameters(
     double gamma, const ProblemConstants& pc, const ParamOptOptions& opt = {});
-
-/// Fig. 1 sweep: optimal parameters for each gamma in `gammas`.
-[[nodiscard]] std::vector<std::pair<double, OptimalParams>> sweep_gamma(
-    std::span<const double> gammas, const ProblemConstants& pc,
-    const ParamOptOptions& opt = {});
 
 }  // namespace fedvr::theory

@@ -37,6 +37,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(threads);
+  tasks_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
@@ -76,13 +77,16 @@ void ThreadPool::worker_loop() {
       std::unique_lock lock(mutex_);
       // Time spent blocked here is worker idle time (observability only).
       const std::uint64_t wait_start = obs::enabled() ? obs::now_ns() : 0;
-      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+      cv_.wait(lock, [this] { return stopping_ || head_ < tasks_.size(); });
       if (wait_start != 0) {
         FEDVR_OBS_COUNT("pool.idle_ns", obs::now_ns() - wait_start);
       }
-      if (tasks_.empty()) return;  // stopping_ and drained
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      if (head_ == tasks_.size()) return;  // stopping_ and drained
+      task = std::move(tasks_[head_++]);
+      if (head_ == tasks_.size()) {
+        tasks_.clear();
+        head_ = 0;
+      }
     }
     note_dequeued();
     task();
@@ -103,7 +107,13 @@ void ThreadPool::enqueue(std::function<void()> task) {
   note_enqueued();  // may throw (obs registry) before anything is queued
   {
     std::scoped_lock lock(mutex_);
-    tasks_.push(std::move(task));  // no effect if it throws
+    if (tasks_.size() == tasks_.capacity() && head_ > 0) {
+      // Reuse the taken prefix before growing.
+      tasks_.erase(tasks_.begin(),
+                   tasks_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    tasks_.push_back(std::move(task));  // no effect if it throws
   }
   cv_.notify_one();
 }

@@ -12,7 +12,6 @@
 #include <functional>
 #include <future>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -120,7 +119,12 @@ class ThreadPool {
   static void note_dequeued();
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
+  // FIFO: workers take tasks_[head_++], and the vector is cleared, capacity
+  // kept, when its last task is taken. It holds one slot per worker from
+  // the start, and a fan-out queues at most size() chunks and waits for
+  // them, so a fan-out never grows it.
+  std::vector<std::function<void()>> tasks_;
+  std::size_t head_ = 0;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;

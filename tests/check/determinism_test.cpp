@@ -12,8 +12,8 @@
 #include "check/check.h"
 #include "data/synthetic.h"
 #include "fl/trainer.h"
-#include "nn/models.h"
 #include "opt/local_solver.h"
+#include "testing/dense_relu_dense.h"
 #include "testing/quadratic_model.h"
 #include "util/thread_pool.h"
 
@@ -42,7 +42,6 @@ data::FederatedDataset heterogeneous_fed() {
 opt::LocalSolver svrg_solver(const std::shared_ptr<const nn::Model>& model) {
   opt::LocalSolverOptions o;
   o.estimator = opt::Estimator::kSvrg;
-  o.sampling = opt::Sampling::kWithReplacement;  // exercises RNG streams
   o.tau = 12;
   o.batch_size = 3;
   o.eta = 0.05;
@@ -134,14 +133,10 @@ TEST(Determinism, HashEqualAcrossPoolSizes) {
 // just device-level fan-out.
 TEST(Determinism, MlpRunHashEqualAcrossPoolSizes) {
   const auto run_mlp = [] {
-    nn::MlpConfig mcfg;
-    mcfg.input_dim = 784;
-    mcfg.hidden = {32};
-    mcfg.num_classes = 10;
-    const auto model = nn::make_mlp(mcfg);
+    const auto model = fedvr::testing::dense_relu_dense(784, 32, 10);
     data::SyntheticConfig cfg;
-    cfg.dim = mcfg.input_dim;
-    cfg.num_classes = mcfg.num_classes;
+    cfg.dim = 784;
+    cfg.num_classes = 10;
     data::FederatedDataset fed;
     for (std::size_t n = 0; n < 3; ++n) {
       fed.train.push_back(data::make_synthetic_device(cfg, n, 60));

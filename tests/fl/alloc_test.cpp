@@ -142,5 +142,28 @@ TEST(FlAlloc, SolveIntoAWarmOutputAllocatesNothing) {
   EXPECT_EQ(allocations, 0U);
 }
 
+// A fan-out queues one type-erased task per chunk and waits for them. The
+// pool's task queue keeps its storage between fan-outs, so every warm
+// fan-out makes the same allocations: the chunks' own callables, nothing
+// for the queue. (A std::deque queue allocated a node every few fan-outs,
+// so the count cycled.) Equality, not a value: how many bytes a
+// std::function holds inline is up to the standard library.
+TEST(FlAlloc, WarmFanOutsAllocateTheSameCount) {
+  util::ThreadPool::reset_global(4);
+  util::ThreadPool& pool = util::ThreadPool::global();
+  std::vector<double> out(pool.size(), 0.0);
+  const auto fan_out = [&] {
+    const std::uint64_t before = testing::heap_allocations();
+    pool.parallel_for(0, out.size(), [&](std::size_t i) { out[i] += 1.0; });
+    return testing::heap_allocations() - before;
+  };
+  for (int warm = 0; warm < 4; ++warm) (void)fan_out();
+  const std::uint64_t first = fan_out();
+  for (int call = 0; call < 32; ++call) {
+    EXPECT_EQ(fan_out(), first) << "fan-out " << call;
+  }
+  util::ThreadPool::reset_global(0);
+}
+
 }  // namespace
 }  // namespace fedvr::fl

@@ -414,69 +414,6 @@ TEST(Trainer, SampleGradEvalAccountingMatchesSolverCosts) {
   EXPECT_EQ(trace.back().sample_grad_evals, 3 * per_round);
 }
 
-TEST(Trainer, PerDeviceSolversRunTheirOwnConfigurations) {
-  // Device 0 frozen (tiny eta), device 1 converging: after aggregation the
-  // global model must sit strictly between the anchor and device 1's
-  // optimum — evidence both solvers actually ran with their own options.
-  auto model = std::make_shared<QuadraticModel>(kDim);
-  const auto fed = two_device_fed(10, 10, 0.0, 4.0);
-  std::vector<opt::LocalSolver> solvers;
-  opt::LocalSolverOptions frozen;
-  frozen.estimator = opt::Estimator::kFullGradient;
-  frozen.tau = 4;
-  frozen.eta = 1e-12;
-  frozen.mu = 0.0;
-  solvers.emplace_back(model, frozen);
-  opt::LocalSolverOptions moving = frozen;
-  moving.eta = 0.3;
-  solvers.emplace_back(model, moving);
-  TrainerOptions opts;
-  opts.rounds = 1;
-  const Trainer trainer(model, fed, opts);
-  std::vector<double> w0(kDim, 0.0);
-  const auto trace =
-      trainer.run(std::span<const opt::LocalSolver>(solvers), "het", w0);
-  // Device 0 stays ~0 (its mean is ~0 anyway); device 1 moved toward 4.
-  // The weighted average must have moved strictly off the origin.
-  double norm = 0.0;
-  for (double v : trace.final_parameters) norm += v * v;
-  EXPECT_GT(norm, 0.1);
-}
-
-TEST(Trainer, PerDeviceSolversTimingChargesTheLargestTau) {
-  auto model = std::make_shared<QuadraticModel>(kDim);
-  const auto fed = two_device_fed(10, 10, 0.0, 1.0);
-  std::vector<opt::LocalSolver> solvers;
-  opt::LocalSolverOptions small_tau;
-  small_tau.estimator = opt::Estimator::kFullGradient;
-  small_tau.tau = 2;
-  small_tau.eta = 0.1;
-  solvers.emplace_back(model, small_tau);
-  opt::LocalSolverOptions big_tau = small_tau;
-  big_tau.tau = 9;
-  solvers.emplace_back(model, big_tau);
-  TrainerOptions opts;
-  opts.rounds = 3;
-  opts.timing = TimingModel{.d_com = 1.0, .d_cmp = 1.0};
-  const Trainer trainer(model, fed, opts);
-  const auto trace =
-      trainer.run(std::span<const opt::LocalSolver>(solvers), "het");
-  EXPECT_NEAR(trace.back().model_time, 3.0 * (1.0 + 9.0), 1e-12);
-}
-
-TEST(Trainer, PerDeviceSolverCountMismatchThrows) {
-  auto model = std::make_shared<QuadraticModel>(kDim);
-  const auto fed = two_device_fed(10, 10, 0.0, 1.0);
-  std::vector<opt::LocalSolver> solvers;
-  opt::LocalSolverOptions o;
-  o.eta = 0.1;
-  solvers.emplace_back(model, o);  // one solver, two devices
-  const Trainer trainer(model, fed, TrainerOptions{});
-  EXPECT_THROW(
-      (void)trainer.run(std::span<const opt::LocalSolver>(solvers), "x"),
-      Error);
-}
-
 TEST(Trainer, GradNormEvaluationIsOptIn) {
   auto model = std::make_shared<QuadraticModel>(kDim);
   const auto fed = two_device_fed(10, 10, 0.0, 1.0);

@@ -9,7 +9,6 @@
 #include "core/fedproxvr.h"
 #include "data/image_datasets.h"
 #include "data/synthetic.h"
-#include "nn/checkpoint.h"
 #include "nn/models.h"
 #include "testing/temp_dir.h"
 #include "theory/bounds.h"
@@ -159,8 +158,8 @@ TEST_F(PipelineTest, TraceCsvRoundTripsThroughDisk) {
   EXPECT_EQ(lines, 1 + trace.rounds.size());  // header + one row per round
 }
 
-TEST_F(PipelineTest, CheckpointPreservesModelBehaviour) {
-  // Train, checkpoint, reload: losses and predictions identical.
+TEST_F(PipelineTest, FinalParametersMatchTheLastEval) {
+  // final_parameters is the model the last trace row was evaluated at.
   data::SyntheticConfig cfg;
   cfg.num_devices = 4;
   cfg.min_samples = 30;
@@ -175,12 +174,8 @@ TEST_F(PipelineTest, CheckpointPreservesModelBehaviour) {
   const auto trace =
       core::run_federated(model, fed, core::fedproxvr_svrg(hp), run_cfg);
   ASSERT_EQ(trace.final_parameters.size(), model->num_parameters());
-  nn::save_parameters(path("w.ckpt"), trace.final_parameters);
-  const auto reloaded =
-      nn::load_parameters(path("w.ckpt"), model->num_parameters());
-  EXPECT_EQ(reloaded, trace.final_parameters);
   const auto pooled = fed.pooled_test();
-  EXPECT_DOUBLE_EQ(model->accuracy(reloaded, pooled),
+  EXPECT_DOUBLE_EQ(model->accuracy(trace.final_parameters, pooled),
                    trace.back().test_accuracy);
 }
 

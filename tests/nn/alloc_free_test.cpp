@@ -17,6 +17,7 @@
 #include "nn/models.h"
 #include "opt/local_solver.h"
 #include "testing/alloc_counter.h"
+#include "testing/dense_relu_dense.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -77,9 +78,8 @@ TEST(AllocFree, LogisticRegressionGradient) {
 TEST(AllocFree, MlpGradient) {
   util::Rng rng(2);
   const auto ds = random_dataset(tensor::Shape({784}), 32, 10, rng);
-  MlpConfig cfg;
-  cfg.hidden = {64};
-  EXPECT_EQ(third_call_allocations(*make_mlp(cfg), ds, 32), 0u);
+  const auto model = testing::dense_relu_dense(784, 64, 10);
+  EXPECT_EQ(third_call_allocations(*model, ds, 32), 0u);
 }
 
 TEST(AllocFree, SmallCnnGradient) {

@@ -19,6 +19,7 @@
 #include "nn/loss.h"
 #include "nn/models.h"
 #include "tensor/vecops.h"
+#include "testing/dense_relu_dense.h"
 #include "util/rng.h"
 
 namespace fedvr::nn {
@@ -63,9 +64,6 @@ struct Named {
 };
 
 std::vector<Named> models() {
-  MlpConfig mlp;
-  mlp.input_dim = 40;
-  mlp.hidden = {24};
   CnnConfig cnn;
   cnn.side = 12;
   cnn.conv1_channels = 4;
@@ -75,7 +73,8 @@ std::vector<Named> models() {
        tensor::Shape({40})},
       {"logistic_l2", chunked(make_logistic_regression(40, 10, 0.01)),
        tensor::Shape({40})},
-      {"mlp", chunked(make_mlp(mlp)), tensor::Shape({40})},
+      {"mlp", chunked(testing::dense_relu_dense(40, 24, 10)),
+       tensor::Shape({40})},
       {"cnn", chunked(make_two_layer_cnn(cnn)), tensor::Shape({1, 12, 12})},
   };
 }

@@ -14,6 +14,7 @@
 #include "nn/models.h"
 #include "nn/sequential.h"
 #include "tensor/vecops.h"
+#include "testing/dense_relu_dense.h"
 #include "testing/gradient_check.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -154,6 +155,23 @@ TEST(LogisticRegression, GradientDescentLearnsSeparableData) {
   }
   EXPECT_LT(model->full_loss(w, ds), 0.6 * initial_loss);
   EXPECT_GT(model->accuracy(w, ds), 0.6);
+}
+
+// The only finite-difference check of Dense's input gradient flowing back
+// through a ReLU into the first layer's weights.
+TEST(DenseReluDense, GradientMatchesFiniteDifferencesWithL2) {
+  const auto model = testing::dense_relu_dense(6, 5, 3, 0.01);
+  const auto ds = small_vector_dataset(8, 6, 3, 7);
+  Rng rng(8);
+  auto w = model->initial_parameters(rng);
+  const auto idx = all_indices(ds.size());
+  std::vector<double> grad(w.size());
+  (void)model->loss_and_gradient(w, ds, idx, grad);
+  testing::expect_gradient_matches(
+      [&](std::span<const double> probe) {
+        return model->loss(probe, ds, idx);
+      },
+      w, grad, 1e-6, 2e-5);
 }
 
 TEST(Model, PredictReturnsArgmaxClass) {

@@ -14,6 +14,7 @@
 #include "nn/pool.h"
 #include "nn/sequential.h"
 #include "opt/estimator.h"
+#include "testing/dense_relu_dense.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -166,15 +167,6 @@ void expect_lean_backward_bitwise(const Sequential& net, std::size_t batch,
   }
 }
 
-std::shared_ptr<const Sequential> dense_sandwich(
-    std::unique_ptr<Layer> activation) {
-  std::vector<std::unique_ptr<Layer>> layers;
-  layers.push_back(std::make_unique<DenseLayer>(5, 7));
-  layers.push_back(std::move(activation));
-  layers.push_back(std::make_unique<DenseLayer>(7, 3));
-  return std::make_shared<const Sequential>(std::move(layers));
-}
-
 TEST(LeanBackward, DenseAloneMatchesFullChainBitwise) {
   std::vector<std::unique_ptr<Layer>> layers;
   layers.push_back(std::make_unique<DenseLayer>(9, 4));
@@ -182,18 +174,8 @@ TEST(LeanBackward, DenseAloneMatchesFullChainBitwise) {
 }
 
 TEST(LeanBackward, DenseReluDenseMatchesFullChainBitwise) {
-  expect_lean_backward_bitwise(
-      *dense_sandwich(std::make_unique<ReluLayer>(7)), 6, 12);
-}
-
-TEST(LeanBackward, DenseTanhDenseMatchesFullChainBitwise) {
-  expect_lean_backward_bitwise(
-      *dense_sandwich(std::make_unique<TanhLayer>(7)), 6, 13);
-}
-
-TEST(LeanBackward, DenseSigmoidDenseMatchesFullChainBitwise) {
-  expect_lean_backward_bitwise(
-      *dense_sandwich(std::make_unique<SigmoidLayer>(7)), 6, 14);
+  expect_lean_backward_bitwise(testing::dense_relu_dense(5, 7, 3)->net(), 6,
+                               12);
 }
 
 TEST(LeanBackward, SmallCnnMatchesFullChainBitwise) {

@@ -346,23 +346,19 @@ TEST(LocalSolver, TauZeroWithLastSelectionTakesOneProxStep) {
   }
 }
 
-TEST(LocalSolver, ShuffledEpochSamplingCoversDatasetOncePerEpoch) {
-  // With batch 1 and tau == n, shuffled-epoch sampling touches every index
-  // exactly once. Observe the batches via per-sample gradients on the
-  // quadratic (v encodes which x_i was sampled is hard; instead instrument
-  // with the observer and dataset size 1 batches — use a counting model).
+TEST(LocalSolver, WithReplacementSamplingRepeatsIndices) {
+  // Over tau = n draws of batch 1, i.i.d. sampling with replacement almost
+  // surely repeats some index. The iterate is frozen, so v_t = w_t - x_{i_t}
+  // names the sampled row.
   auto model = quad_model(2);
-  const std::size_t n = 8;
-  const auto ds = quadratic_dataset(n, 2, 0.0, 1.0, 83);
+  const std::size_t n = 16;
+  const auto ds = quadratic_dataset(n, 2, 0.0, 1.0, 89);
   auto opts = base_options();
   opts.estimator = Estimator::kSgd;
-  opts.sampling = Sampling::kShuffledEpochs;
   opts.batch_size = 1;
   opts.tau = n;
   opts.mu = 0.0;
-  opts.eta = 1e-12;  // freeze the iterate so v_t = w0 - x_{i_t} (+eps)
-  // v_t = w_t - x_it with w_t ~ anchor: recover i_t by nearest sample.
-  const std::vector<double> anchor(2, 0.0);
+  opts.eta = 1e-12;
   std::vector<int> hits(n, 0);
   opts.observer = [&](std::size_t, std::span<const double> v,
                       std::span<const double> w) {
@@ -383,57 +379,10 @@ TEST(LocalSolver, ShuffledEpochSamplingCoversDatasetOncePerEpoch) {
     hits[best_i]++;
   };
   const LocalSolver solver(model, opts);
-  Rng rng(3);
+  const std::vector<double> anchor(2, 0.0);
+  Rng rng(5);
   (void)solver.solve(ds, anchor, rng);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[i], 1) << "sample " << i;
-  }
-}
-
-TEST(LocalSolver, WithReplacementSamplingRepeatsIndices) {
-  // Over tau = 4n draws of batch 1, with-replacement almost surely repeats
-  // some index within the first epoch-length window; shuffled epochs never
-  // do. Compare the two hit distributions after one epoch length.
-  auto model = quad_model(2);
-  const std::size_t n = 16;
-  const auto ds = quadratic_dataset(n, 2, 0.0, 1.0, 89);
-  auto run_hits = [&](Sampling sampling) {
-    auto opts = base_options();
-    opts.estimator = Estimator::kSgd;
-    opts.sampling = sampling;
-    opts.batch_size = 1;
-    opts.tau = n;
-    opts.mu = 0.0;
-    opts.eta = 1e-12;
-    std::vector<int> hits(n, 0);
-    opts.observer = [&](std::size_t, std::span<const double> v,
-                        std::span<const double> w) {
-      double best = 1e300;
-      std::size_t best_i = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto x = ds.sample(i);
-        double d2 = 0.0;
-        for (std::size_t j = 0; j < 2; ++j) {
-          const double diff = (w[j] - x[j]) - v[j];
-          d2 += diff * diff;
-        }
-        if (d2 < best) {
-          best = d2;
-          best_i = i;
-        }
-      }
-      hits[best_i]++;
-    };
-    const LocalSolver solver(model, opts);
-    const std::vector<double> anchor(2, 0.0);
-    Rng rng(5);
-    (void)solver.solve(ds, anchor, rng);
-    return hits;
-  };
-  const auto epoch_hits = run_hits(Sampling::kShuffledEpochs);
-  const auto iid_hits = run_hits(Sampling::kWithReplacement);
-  EXPECT_EQ(*std::max_element(epoch_hits.begin(), epoch_hits.end()), 1);
-  EXPECT_GT(*std::max_element(iid_hits.begin(), iid_hits.end()), 1);
+  EXPECT_GT(*std::max_element(hits.begin(), hits.end()), 1);
 }
 
 TEST(LocalSolver, DiminishingScheduleMatchesManualTrajectory) {
@@ -471,69 +420,15 @@ TEST(LocalSolver, NegativeScheduleDecayThrows) {
   EXPECT_THROW(LocalSolver(model, opts), Error);
 }
 
-TEST(LocalSolver, AdaptiveThetaStopsEarlyOnEasyProblem) {
-  // Full-gradient descent on a well-conditioned quadratic satisfies the
-  // eq. 11 criterion long before a generous tau budget runs out.
-  auto model = quad_model(3);
-  const auto ds = quadratic_dataset(20, 3, 1.0, 0.2, 101);
-  LocalSolverOptions opts;
-  opts.estimator = Estimator::kFullGradient;
-  opts.tau = 500;
-  opts.eta = 0.3;
-  opts.mu = 0.1;
-  opts.adaptive_theta = 0.3;
-  opts.theta_check_every = 5;
-  opts.compute_diagnostics = true;
-  const LocalSolver solver(model, opts);
-  const std::vector<double> anchor(3, 4.0);
-  Rng rng(3);
-  const auto result = solver.solve(ds, anchor, rng);
-  EXPECT_LT(result.iterations_run, 100u);
-  // The returned iterate really satisfies the criterion.
-  EXPECT_LE(result.measured_theta, opts.adaptive_theta);
-}
-
-TEST(LocalSolver, AdaptiveThetaDisabledRunsFullBudget) {
+TEST(LocalSolver, RunsTheFullTauBudget) {
   auto model = quad_model(3);
   const auto ds = quadratic_dataset(10, 3, 0.0, 1.0, 103);
   auto opts = base_options();
   opts.tau = 12;
-  opts.adaptive_theta = 0.0;
   const LocalSolver solver(model, opts);
   const std::vector<double> anchor(3, 1.0);
   Rng rng(5);
   EXPECT_EQ(solver.solve(ds, anchor, rng).iterations_run, 12u);
-}
-
-TEST(LocalSolver, AdaptiveThetaChecksCostFullGradients) {
-  // Cost accounting must include the periodic criterion evaluations.
-  auto model = quad_model(2);
-  const std::size_t n = 10;
-  const auto ds = quadratic_dataset(n, 2, 0.0, 1.0, 107);
-  LocalSolverOptions opts;
-  opts.estimator = Estimator::kFullGradient;
-  opts.tau = 6;
-  opts.eta = 1e-6;  // too small to ever satisfy the criterion
-  opts.mu = 0.0;
-  opts.adaptive_theta = 0.001;
-  opts.theta_check_every = 2;
-  const LocalSolver solver(model, opts);
-  const std::vector<double> anchor(2, 5.0);
-  Rng rng(7);
-  const auto result = solver.solve(ds, anchor, rng);
-  // anchor grad (n) + 6 inner full grads (6n) + 3 criterion checks (3n).
-  EXPECT_EQ(result.sample_gradient_evals, n + 6 * n + 3 * n);
-  EXPECT_EQ(result.iterations_run, 6u);
-}
-
-TEST(LocalSolver, AdaptiveThetaValidation) {
-  auto model = quad_model(2);
-  auto opts = base_options();
-  opts.adaptive_theta = 1.0;
-  EXPECT_THROW(LocalSolver(model, opts), Error);
-  opts = base_options();
-  opts.theta_check_every = 0;
-  EXPECT_THROW(LocalSolver(model, opts), Error);
 }
 
 TEST(LocalSolver, ObserverSeesEveryInnerIteration) {

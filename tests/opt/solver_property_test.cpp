@@ -1,8 +1,10 @@
 // Parameterized property sweep: invariants that must hold for EVERY
-// (estimator, sampling, selection, mu) combination the solver supports.
+// (estimator, batch, step schedule, selection, mu) combination the solver
+// supports.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "opt/local_solver.h"
@@ -16,20 +18,26 @@ using fedvr::testing::quadratic_dataset;
 using fedvr::testing::QuadraticModel;
 using fedvr::util::Rng;
 
-using Combo = std::tuple<Estimator, Sampling, IterateSelection, double>;
+// The two ways the solver draws a batch: B i.i.d. draws with replacement,
+// or, when B covers the shard, the whole shard in order.
+constexpr std::size_t kMiniBatch = 3;
+constexpr std::size_t kWholeShard = std::numeric_limits<std::size_t>::max();
+
+using Combo = std::tuple<Estimator, std::size_t, StepSchedule,
+                         IterateSelection, double>;
 
 class SolverProperties : public ::testing::TestWithParam<Combo> {
  protected:
   LocalSolverOptions options() const {
-    const auto [estimator, sampling, selection, mu] = GetParam();
+    const auto [estimator, batch_size, schedule, selection, mu] = GetParam();
     LocalSolverOptions o;
     o.estimator = estimator;
-    o.sampling = sampling;
+    o.batch_size = batch_size;
+    o.schedule = schedule;
     o.selection = selection;
     o.mu = mu;
     o.tau = 25;
     o.eta = 0.15;
-    o.batch_size = 3;
     return o;
   }
 };
@@ -86,8 +94,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Estimator::kSgd, Estimator::kSvrg,
                           Estimator::kSarah, Estimator::kFullGradient),
-        ::testing::Values(Sampling::kWithReplacement,
-                          Sampling::kShuffledEpochs),
+        ::testing::Values(kMiniBatch, kWholeShard),
+        ::testing::Values(StepSchedule::kConstant, StepSchedule::kDiminishing),
         ::testing::Values(IterateSelection::kLast,
                           IterateSelection::kUniformRandom),
         ::testing::Values(0.0, 0.5)));

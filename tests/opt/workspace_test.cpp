@@ -70,8 +70,7 @@ TEST(ThreadWorkspace, OnePerThreadStableAcrossCalls) {
   EXPECT_TRUE(distinct);
 }
 
-// Every estimator / selection / sampling combination the trainer can
-// configure must produce the identical iterate and identical RNG
+// Every estimator / selection combination the trainer can configure must produce the identical iterate and identical RNG
 // consumption through the workspace overload.
 TEST(SolverWorkspaceSolve, MatchesClassicSolveBitwise) {
   const std::size_t dim = 5;
@@ -86,62 +85,22 @@ TEST(SolverWorkspaceSolve, MatchesClassicSolveBitwise) {
                          Estimator::kFullGradient}) {
     for (auto selection :
          {IterateSelection::kLast, IterateSelection::kUniformRandom}) {
-      for (auto sampling :
-           {Sampling::kWithReplacement, Sampling::kShuffledEpochs}) {
-        auto opts = base_options();
-        opts.estimator = estimator;
-        opts.selection = selection;
-        opts.sampling = sampling;
-        opts.compute_diagnostics = true;
-        const LocalSolver solver(model, opts);
-        const std::string label =
-            "estimator=" + std::to_string(static_cast<int>(estimator)) +
-            " selection=" + std::to_string(static_cast<int>(selection)) +
-            " sampling=" + std::to_string(static_cast<int>(sampling));
-        ++seed;
-        Rng rng_classic(seed);
-        Rng rng_ws(seed);
-        const auto classic = solver.solve(ds, anchor, rng_classic);
-        const auto pooled = solver.solve(ds, anchor, rng_ws, ws, w_out);
-        expect_same_result(classic, pooled, w_out, label);
-      }
+      auto opts = base_options();
+      opts.estimator = estimator;
+      opts.selection = selection;
+      opts.compute_diagnostics = true;
+      const LocalSolver solver(model, opts);
+      const std::string label =
+          "estimator=" + std::to_string(static_cast<int>(estimator)) +
+          " selection=" + std::to_string(static_cast<int>(selection));
+      ++seed;
+      Rng rng_classic(seed);
+      Rng rng_ws(seed);
+      const auto classic = solver.solve(ds, anchor, rng_classic);
+      const auto pooled = solver.solve(ds, anchor, rng_ws, ws, w_out);
+      expect_same_result(classic, pooled, w_out, label);
     }
   }
-}
-
-// The adaptive-theta early stop can fire before the uniform-random t' is
-// reached, in which case the classic path returns an *empty* snapshot
-// branchlessly resolved to w_curr. A stale snapshot from a previous solve
-// must not resurrect the other branch.
-TEST(SolverWorkspaceSolve, EarlyThetaStopWithDirtySnapshotMatchesClassic) {
-  const std::size_t dim = 4;
-  const auto model = quad_model(dim);
-  const auto ds = quadratic_dataset(30, dim, 1.0, 1.0, 7);
-  const std::vector<double> anchor(dim, 1.0);
-
-  SolverWorkspace ws;
-  std::vector<double> w_out;
-  // First solve: kUniformRandom with no early stop populates ws.snapshot.
-  {
-    auto opts = base_options();
-    opts.selection = IterateSelection::kUniformRandom;
-    const LocalSolver solver(model, opts);
-    Rng rng(41);
-    (void)solver.solve(ds, anchor, rng, ws, w_out);
-  }
-  // Second solve: a theta threshold loose enough to stop at the first
-  // check, before most t' draws.
-  auto opts = base_options();
-  opts.selection = IterateSelection::kUniformRandom;
-  opts.adaptive_theta = 0.99;
-  opts.theta_check_every = 1;
-  const LocalSolver solver(model, opts);
-  Rng rng_classic(43);
-  Rng rng_ws(43);
-  const auto classic = solver.solve(ds, anchor, rng_classic);
-  const auto pooled = solver.solve(ds, anchor, rng_ws, ws, w_out);
-  EXPECT_LT(pooled.iterations_run, base_options().tau);  // the stop fired
-  expect_same_result(classic, pooled, w_out, "early-theta");
 }
 
 // One workspace serving solvers of different dimensionality: buffers must
@@ -178,7 +137,6 @@ TEST(SolverWorkspaceSolve, WarmSolvesReuseBufferStorage) {
   const std::vector<double> anchor(dim, 0.25);
   auto opts = base_options();
   opts.selection = IterateSelection::kUniformRandom;  // exercises snapshot
-  opts.sampling = Sampling::kShuffledEpochs;          // exercises permutation
   opts.compute_diagnostics = true;                    // exercises grad_j
   const LocalSolver solver(model, opts);
 
@@ -194,7 +152,7 @@ TEST(SolverWorkspaceSolve, WarmSolvesReuseBufferStorage) {
         ws.w_prev.data(),   ws.w_curr.data(),    ws.v.data(),
         ws.grad_curr.data(), ws.grad_ref.data(), ws.v0.data(),
         ws.anchor_w.data(), ws.snapshot.data(),  ws.grad_j.data(),
-        ws.batch.data(),    ws.full_idx.data(),  ws.permutation.data(),
+        ws.batch.data(),    ws.full_idx.data(),
         ws.batch_rows.rows(0, rows).data(),
         ws.batch_rows.labels(0, rows).data(), w_out.data()};
   };

@@ -53,26 +53,13 @@ inline opt::LocalSolverResult reference_solve(
     }
   };
 
-  // Mini-batch draws: with replacement, or through a permutation that is
-  // reshuffled whenever it runs out; a batch covering the shard is 0..n-1.
+  // Mini-batch draws with replacement; a batch covering the shard is
+  // 0..n-1.
   const std::size_t batch_size = std::min(o.batch_size, n);
-  std::vector<std::size_t> permutation(n);
-  std::iota(permutation.begin(), permutation.end(), 0);
-  std::size_t cursor = n;
   const auto draw = [&] {
     std::vector<std::size_t> batch(batch_size);
     for (std::size_t k = 0; k < batch_size; ++k) {
-      if (batch_size == n) {
-        batch[k] = k;
-      } else if (o.sampling == opt::Sampling::kWithReplacement) {
-        batch[k] = rng.below(n);
-      } else {
-        if (cursor >= n) {
-          rng.shuffle(std::span<std::size_t>(permutation));
-          cursor = 0;
-        }
-        batch[k] = permutation[cursor++];
-      }
+      batch[k] = batch_size == n ? k : rng.below(n);
     }
     return batch;
   };
