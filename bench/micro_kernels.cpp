@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "check/check.h"
@@ -16,6 +17,7 @@
 #include "data/synthetic.h"
 #include "nn/models.h"
 #include "opt/local_solver.h"
+#include "tensor/aligned.h"
 #include "tensor/im2col.h"
 #include "tensor/kernels.h"
 #include "tensor/vecops.h"
@@ -88,7 +90,9 @@ BENCHMARK(BM_GemmConvShape)->Arg(1)->Arg(2)->UseRealTime();
 // at batch 32 and at the 64-sample eval chunk. Range(0) selects the call:
 // 0 = forward y = x W^T (32 x 10 x 784, the dot path), 1 = the same over an
 // eval chunk (64 x 10 x 784), 2 = dW += dy^T x (10 x 784 x 32, the A^T*B
-// path).
+// path). Range(1) places every operand that many bytes past a cache line:
+// 0 is where tensor::AlignedVector puts it, 16 is where malloc's 16-byte
+// alignment can leave a std::vector<double>.
 void BM_GemmDenseShape(benchmark::State& state) {
   constexpr std::size_t in = 784, out = 10;
   const bool dw = state.range(0) == 2;
@@ -96,8 +100,13 @@ void BM_GemmDenseShape(benchmark::State& state) {
   const std::size_t m = dw ? out : batch;
   const std::size_t n = dw ? in : out;
   const std::size_t k = dw ? batch : in;
+  const auto shift = static_cast<std::size_t>(state.range(1)) / sizeof(double);
+  tensor::AlignedVector<double> a_buf(shift + m * k), b_buf(shift + k * n),
+      c_buf(shift + m * n);
+  const auto a = std::span<double>(a_buf).subspan(shift);
+  const auto b = std::span<double>(b_buf).subspan(shift);
+  const auto c = std::span<double>(c_buf).subspan(shift);
   util::Rng rng(6);
-  std::vector<double> a(m * k), b(k * n), c(m * n);
   for (auto& v : a) v = rng.normal();
   for (auto& v : b) v = rng.normal();
   for (auto _ : state) {
@@ -115,9 +124,8 @@ void BM_GemmDenseShape(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * m * n * k));
 }
 BENCHMARK(BM_GemmDenseShape)
-    ->Arg(0)   // forward, batch 32
-    ->Arg(1)   // forward, eval chunk of 64
-    ->Arg(2)   // dW, batch 32
+    ->ArgsProduct({{0, 1, 2},  // forward batch 32, eval chunk 64, dW
+                   {0, 16}})   // operand bytes past a cache line
     ->UseRealTime();
 
 // The small-product GEMMs (m * n * k < 32^3) of a 60 -> 10 Dense layer, the

@@ -95,9 +95,9 @@ class ProxSkipVRPolicy final : public fl::RoundPolicy {
 
     // SVRG estimator: ∇f_B(x_n) − ∇f_B(anchor) + ∇F_n(anchor), with the
     // same minibatch at both points (eq. 8b).
-    std::vector<double>& g = ws.grad_curr;
+    opt::SolverWorkspace::Vector& g = ws.grad_curr;
     g.resize(dim_);
-    std::vector<double>& g_anchor = ws.grad_ref;
+    opt::SolverWorkspace::Vector& g_anchor = ws.grad_ref;
     g_anchor.resize(dim_);
     const std::span<double> xn = view(x_, n);
     const std::span<const double> hn = view(h_, n);

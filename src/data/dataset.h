@@ -2,13 +2,15 @@
 //
 // Samples are stored contiguously (one row per sample, row length =
 // sample_shape.numel()) so models can view them as flat feature vectors or,
-// via sample_shape, as CHW images. Labels are class indices.
+// via sample_shape, as CHW images. Labels are class indices. Row 0 starts
+// on a cache line, the GEMM kernels' X operand (tensor/aligned.h).
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
+#include "tensor/aligned.h"
 #include "tensor/shape.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -101,7 +103,7 @@ class Dataset {
  private:
   tensor::Shape sample_shape_;
   std::size_t num_classes_ = 0;
-  std::vector<double> features_;
+  tensor::AlignedVector<double> features_;
   std::vector<int> labels_;
 };
 

@@ -12,6 +12,7 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "opt/workspace.h"
+#include "tensor/aligned.h"
 #include "tensor/vecops.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -82,7 +83,7 @@ class FedProxVRPolicy final : public RoundPolicy {
                          options.faults.config().corrupt_stale_weight > 0.0) {}
 
   std::size_t begin(std::vector<double> w0) override {
-    w_ = std::move(w0);
+    w_.assign(w0.begin(), w0.end());
     w_prev_.resize(w_.size());
     return 0;
   }
@@ -123,7 +124,7 @@ class FedProxVRPolicy final : public RoundPolicy {
       // compression, wire encode/decode); the server reconstructs anchor +
       // decoded delta. Compressor calls outside comm::Channel are a lint
       // error (compression-in-seam).
-      std::vector<double>& delta = ws.delta;
+      opt::SolverWorkspace::Vector& delta = ws.delta;
       delta.resize(w_.size());
       tensor::sub(local, w_, delta);
       util::Rng comm_rng = util::fork(options_.seed, device + 1, step.round,
@@ -245,8 +246,10 @@ class FedProxVRPolicy final : public RoundPolicy {
   std::shared_ptr<const Aggregator> aggregator_;
   bool transforms_;
   bool replay_possible_;
-  std::vector<double> w_;       // the global model w̄^(s)
-  std::vector<double> w_prev_;  // w̄^(s-1) during the server update
+  // The global model w̄^(s) and, during the server update, w̄^(s-1): every
+  // solve's anchor and the aggregation's operands, on cache lines.
+  tensor::AlignedVector<double> w_;
+  tensor::AlignedVector<double> w_prev_;
   // The last update each device actually sent, keyed by device id. Written
   // only in the serial server update; local steps only read it.
   std::unordered_map<std::size_t, std::vector<double>> replay_cache_;
@@ -733,13 +736,13 @@ double Trainer::test_accuracy(std::span<const double> w) const {
   // integer arithmetic, so it is order-independent anyway.
   constexpr std::size_t kChunk = 256;
   const std::size_t nchunks = (size + kChunk - 1) / kChunk;
-  const std::vector<std::size_t> indices = nn::all_indices(size);
+  const std::span<const std::size_t> indices = nn::identity_indices(size);
   std::vector<std::size_t> predicted(size);
   util::ThreadPool::global().parallel_for(0, nchunks, [&](std::size_t c) {
     const std::size_t lo = c * kChunk;
     const std::size_t len = std::min(kChunk, size - lo);
     model_->predict(w, pooled,
-                    std::span<const std::size_t>(indices).subspan(lo, len),
+                    indices.subspan(lo, len),
                     std::span<std::size_t>(predicted).subspan(lo, len));
   });
   std::size_t correct = 0;

@@ -20,10 +20,10 @@ namespace {
 // evaluation never re-enters model code on the same thread.
 struct EvalScratch {
   Sequential::Workspace ws;
-  std::vector<double> xbuf;
+  tensor::AlignedVector<double> xbuf;
   std::vector<int> ybuf;
-  std::vector<double> d_logits;
-  std::vector<double> chunk_grad;
+  tensor::AlignedVector<double> d_logits;
+  tensor::AlignedVector<double> chunk_grad;
 };
 
 EvalScratch& eval_scratch() {
@@ -48,7 +48,7 @@ void FeedForwardModel::initialize(util::Rng& rng, std::span<double> w) const {
 
 FeedForwardModel::ChunkRows FeedForwardModel::chunk_rows(
     const data::Dataset& ds, std::span<const std::size_t> indices,
-    std::vector<double>& xbuf, std::vector<int>& ybuf) const {
+    tensor::AlignedVector<double>& xbuf, std::vector<int>& ybuf) const {
   const std::size_t dim = ds.feature_dim();
   FEDVR_CHECK_MSG(dim == net_->in_size(),
                   "dataset features (" << dim << ") do not match model input ("
@@ -77,7 +77,7 @@ double FeedForwardModel::loss(std::span<const double> w,
   FEDVR_CHECK(!indices.empty());
   EvalScratch& scratch = eval_scratch();
   Sequential::Workspace& ws = scratch.ws;
-  std::vector<double>& xbuf = scratch.xbuf;
+  tensor::AlignedVector<double>& xbuf = scratch.xbuf;
   std::vector<int>& ybuf = scratch.ybuf;
   double weighted = 0.0;
   for (std::size_t start = 0; start < indices.size(); start += max_chunk_) {
@@ -102,10 +102,10 @@ double FeedForwardModel::loss_and_gradient(
   tensor::fill(grad, 0.0);
   EvalScratch& scratch = eval_scratch();
   Sequential::Workspace& ws = scratch.ws;
-  std::vector<double>& xbuf = scratch.xbuf;
+  tensor::AlignedVector<double>& xbuf = scratch.xbuf;
   std::vector<int>& ybuf = scratch.ybuf;
-  std::vector<double>& d_logits = scratch.d_logits;
-  std::vector<double>& chunk_grad = scratch.chunk_grad;
+  tensor::AlignedVector<double>& d_logits = scratch.d_logits;
+  tensor::AlignedVector<double>& chunk_grad = scratch.chunk_grad;
   // One chunk is the whole batch: its mean gradient is the result and the
   // count/n rescale below would be exactly 1. Every layer accumulates into
   // dw and, rounding to nearest, adding to +0.0 never yields -0.0, so
@@ -156,7 +156,7 @@ void FeedForwardModel::predict(std::span<const double> w,
   FEDVR_CHECK(out.size() == indices.size());
   EvalScratch& scratch = eval_scratch();
   Sequential::Workspace& ws = scratch.ws;
-  std::vector<double>& xbuf = scratch.xbuf;
+  tensor::AlignedVector<double>& xbuf = scratch.xbuf;
   std::vector<int>& ybuf = scratch.ybuf;
   for (std::size_t start = 0; start < indices.size(); start += max_chunk_) {
     const std::size_t count = std::min(max_chunk_, indices.size() - start);

@@ -53,7 +53,7 @@ class FeedForwardModel final : public Model {
   // `xbuf` and `ybuf`.
   [[nodiscard]] ChunkRows chunk_rows(const data::Dataset& ds,
                                      std::span<const std::size_t> indices,
-                                     std::vector<double>& xbuf,
+                                     tensor::AlignedVector<double>& xbuf,
                                      std::vector<int>& ybuf) const;
 
   std::shared_ptr<const Sequential> net_;

@@ -12,25 +12,33 @@ std::vector<std::size_t> all_indices(std::size_t n) {
   return idx;
 }
 
+std::span<const std::size_t> identity_indices(std::size_t n) {
+  thread_local std::vector<std::size_t> iota;
+  if (iota.size() < n) {
+    const std::size_t have = iota.size();
+    iota.resize(n);
+    std::iota(iota.begin() + static_cast<std::ptrdiff_t>(have), iota.end(),
+              have);
+  }
+  return std::span<const std::size_t>(iota).first(n);
+}
+
 double Model::full_loss(std::span<const double> w,
                         const data::Dataset& ds) const {
-  const auto idx = all_indices(ds.size());
-  return loss(w, ds, idx);
+  return loss(w, ds, identity_indices(ds.size()));
 }
 
 double Model::full_gradient(std::span<const double> w,
                             const data::Dataset& ds,
                             std::span<double> grad) const {
-  const auto idx = all_indices(ds.size());
-  return loss_and_gradient(w, ds, idx, grad);
+  return loss_and_gradient(w, ds, identity_indices(ds.size()), grad);
 }
 
 double Model::accuracy(std::span<const double> w,
                        const data::Dataset& ds) const {
   FEDVR_CHECK(!ds.empty());
-  const auto idx = all_indices(ds.size());
   std::vector<std::size_t> pred(ds.size());
-  predict(w, ds, idx, pred);
+  predict(w, ds, identity_indices(ds.size()), pred);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < ds.size(); ++i) {
     if (pred[i] == static_cast<std::size_t>(ds.label(i))) ++correct;

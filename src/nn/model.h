@@ -66,4 +66,9 @@ class Model {
 /// All-sample index vector [0, n) — helper for full-batch calls.
 [[nodiscard]] std::vector<std::size_t> all_indices(std::size_t n);
 
+/// The identity indices [0, n) as a view of the calling thread's iota,
+/// which allocates only when n exceeds every earlier n on this thread. The
+/// span stays valid until this thread asks for a larger n.
+[[nodiscard]] std::span<const std::size_t> identity_indices(std::size_t n);
+
 }  // namespace fedvr::nn

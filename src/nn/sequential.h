@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "nn/layer.h"
+#include "tensor/aligned.h"
 
 namespace fedvr::nn {
 
@@ -26,12 +27,15 @@ class Sequential {
   void init_params(util::Rng& rng, std::span<double> w) const;
 
   /// Per-call workspace: activation buffers and per-layer caches. Reusable
-  /// across calls from the same thread; cheap to construct.
+  /// across calls from the same thread; cheap to construct. Activations and
+  /// input gradients start on a cache line: the next layer's GEMM reads
+  /// them as its X operand.
   struct Workspace {
-    std::vector<std::vector<double>> activations;  // layer outputs
+    std::vector<tensor::AlignedVector<double>> activations;  // layer outputs
     std::vector<LayerCache> caches;
-    std::vector<std::vector<double>> grads;  // layer input gradients, 1..n-1
-    std::span<const double> trained_input;   // x of a training forward()
+    // Layer input gradients, 1..n-1.
+    std::vector<tensor::AlignedVector<double>> grads;
+    std::span<const double> trained_input;  // x of a training forward()
   };
 
   /// Runs the batch through all layers; returns the final activation span

@@ -72,35 +72,35 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
           : options_.tau + 1;  // sentinel: never snapshot, keep last
 
   // Line 3-4: w^(0) = anchor, v^(0) = full local gradient at the anchor.
-  std::vector<double>& w_prev = ws.w_prev;
+  SolverWorkspace::Vector& w_prev = ws.w_prev;
   w_prev.assign(anchor.begin(), anchor.end());
-  std::vector<double>& v = ws.v;
+  SolverWorkspace::Vector& v = ws.v;
   v.resize(dim);  // loss_and_gradient overwrites
   result.anchor_loss = model_->loss_and_gradient(w_prev, train, full_idx, v);
   result.sample_gradient_evals += n;
   result.anchor_grad_norm = tensor::nrm2(v);
   FEDVR_OBS_COUNT("solver.anchor_gradients", 1);
 
-  std::vector<double>& snapshot = ws.snapshot;
+  SolverWorkspace::Vector& snapshot = ws.snapshot;
   if (selected_t == 0) snapshot.assign(w_prev.begin(), w_prev.end());
 
   // First prox step: w^(1) = prox(w^(0) - eta_0 v^(0)).
-  std::vector<double>& w_curr = ws.w_curr;
+  SolverWorkspace::Vector& w_curr = ws.w_curr;
   w_curr.resize(dim);
   tensor::prox_gradient_step(w_prev, v, anchor, eta_at(0), options_.mu,
                              w_curr);
 
   // Scratch for the estimator updates.
-  std::vector<double>& grad_curr = ws.grad_curr;
+  SolverWorkspace::Vector& grad_curr = ws.grad_curr;
   grad_curr.resize(dim);
-  std::vector<double>& grad_ref = ws.grad_ref;
+  SolverWorkspace::Vector& grad_ref = ws.grad_ref;
   grad_ref.resize(dim);
   if (options_.estimator == Estimator::kSvrg) {
     ws.v0.assign(v.begin(), v.end());          // SVRG keeps the anchor direction
     ws.anchor_w.assign(w_prev.begin(), w_prev.end());  // reference point w^(0)
   }
-  const std::vector<double>& v0 = ws.v0;
-  const std::vector<double>& anchor_w = ws.anchor_w;
+  const SolverWorkspace::Vector& v0 = ws.v0;
+  const SolverWorkspace::Vector& anchor_w = ws.anchor_w;
   // Line 6: B i.i.d. uniform draws with replacement. A batch that covers
   // the dataset degenerates to the deterministic full batch.
   std::vector<std::size_t>& batch = ws.batch;
@@ -173,7 +173,7 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
   // Copy, don't swap: a swap would hand the workspace w_out's old buffer,
   // which is empty on a slot's first solve, and the next solve on this
   // thread would grow w_curr again.
-  const std::vector<double>& chosen =
+  const SolverWorkspace::Vector& chosen =
       (options_.selection == IterateSelection::kUniformRandom &&
        selected_t <= options_.tau)
           ? snapshot
@@ -182,7 +182,7 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
 
   if (options_.compute_diagnostics) {
     // grad J_n(w) = grad F_n(w) + mu (w - anchor)  (paper eq. 68).
-    std::vector<double>& grad_j = ws.grad_j;
+    SolverWorkspace::Vector& grad_j = ws.grad_j;
     grad_j.resize(dim);
     (void)model_->loss_and_gradient(w_out, train, full_idx, grad_j);
     for (std::size_t i = 0; i < dim; ++i) {

@@ -16,24 +16,28 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "tensor/aligned.h"
 
 namespace fedvr::opt {
 
 /// Reusable buffers for LocalSolver::solve() and its callers. All vectors
 /// retain capacity between uses; solve() resizes them to the model
 /// dimension (or batch/dataset size) it needs. Contents are scratch — no
-/// state is carried between solves.
+/// state is carried between solves. Every dim-sized buffer, and
+/// batch_rows' features, start on a cache line (tensor/aligned.h): they are
+/// the operands of the model's GEMMs and of the solver's vector kernels.
 struct SolverWorkspace {
+  using Vector = tensor::AlignedVector<double>;
   // Inner-loop iterates and estimator directions (dim-sized).
-  std::vector<double> w_prev;
-  std::vector<double> w_curr;
-  std::vector<double> v;
-  std::vector<double> grad_curr;
-  std::vector<double> grad_ref;
-  std::vector<double> v0;        // SVRG anchor direction
-  std::vector<double> anchor_w;  // SVRG gradient reference point
-  std::vector<double> snapshot;  // kUniformRandom iterate snapshot
-  std::vector<double> grad_j;    // full surrogate gradient (diagnostics)
+  Vector w_prev;
+  Vector w_curr;
+  Vector v;
+  Vector grad_curr;
+  Vector grad_ref;
+  Vector v0;        // SVRG anchor direction
+  Vector anchor_w;  // SVRG gradient reference point
+  Vector snapshot;  // kUniformRandom iterate snapshot
+  Vector grad_j;    // full surrogate gradient (diagnostics)
   // The drawn mini-batch's rows, copied once per SVRG/SARAH step so both
   // gradient calls read them in place (Dataset::assign_rows reuses the
   // storage).
@@ -42,7 +46,7 @@ struct SolverWorkspace {
   std::vector<std::size_t> batch;
   std::vector<std::size_t> full_idx;
   // Caller-side staging: upload deltas, per-device comm scratch.
-  std::vector<double> delta;
+  Vector delta;
 };
 
 /// The calling thread's workspace, created on first use and kept, with the

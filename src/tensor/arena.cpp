@@ -37,29 +37,24 @@ void Arena::replace_slab(std::size_t new_capacity) {
   // guarantees none exist here.
   FEDVR_CHECK_MSG(cursor_ == 0 && depth_ == 0,
                   "arena slab replaced while spans are live");
-  slab_.reset();
+  slab_ = AlignedVector<std::byte>();  // free the old slab first
   if (new_capacity > 0) {
-    // Headroom so per-allocation alignment padding never tips a sized-to-fit
-    // slab into overflow.
-    slab_ = std::make_unique<std::byte[]>(new_capacity + kAlignment);
+    slab_ = AlignedVector<std::byte>(new_capacity);
     g_heap_events.fetch_add(1, std::memory_order_relaxed);
     ++stats_.heap_events;
   }
-  capacity_ = new_capacity;
 }
 
 std::byte* Arena::raw_alloc(std::size_t bytes) {
   FEDVR_CHECK_MSG(depth_ > 0, "arena allocation outside any Workspace scope");
   ++stats_.span_allocs;
   bytes = round_up(std::max<std::size_t>(bytes, 1), kAlignment);
-  if (slab_ != nullptr && cursor_ + bytes <= capacity_) {
-    // Align the slab base once (the +kAlignment headroom in replace_slab
-    // pays for it); every span size is a multiple of kAlignment, so cursor
-    // offsets need no per-span padding — and a slab regrown to exactly the
-    // episode footprint fits that episode with zero overflow.
-    auto addr = reinterpret_cast<std::uintptr_t>(slab_.get());
-    std::byte* base = slab_.get() + (round_up(addr, kAlignment) - addr);
-    std::byte* p = base + cursor_;
+  if (cursor_ + bytes <= slab_.size()) {
+    // The slab starts on a line and every span size is a multiple of
+    // kAlignment, so cursor offsets need no per-span padding, and a slab
+    // regrown to exactly the episode footprint fits that episode with zero
+    // overflow.
+    std::byte* p = slab_.data() + cursor_;
     cursor_ += bytes;
     episode_peak_ = std::max(episode_peak_, cursor_ + overflow_bytes_);
     stats_.high_water_bytes =
@@ -69,13 +64,10 @@ std::byte* Arena::raw_alloc(std::size_t bytes) {
   // Slab miss: serve from an individually owned block so the request still
   // succeeds, and remember the episode's true footprint so end_episode()
   // regrows the slab and the next episode stays on the fast path.
-  auto block = std::make_unique<std::byte[]>(bytes + kAlignment);
+  std::byte* p = overflow_.emplace_back(bytes).data();
   g_heap_events.fetch_add(1, std::memory_order_relaxed);
   ++stats_.heap_events;
   ++stats_.overflow_allocs;
-  auto addr = reinterpret_cast<std::uintptr_t>(block.get());
-  std::byte* p = block.get() + (round_up(addr, kAlignment) - addr);
-  overflow_.push_back(std::move(block));
   overflow_bytes_ += bytes;
   episode_peak_ = std::max(episode_peak_, cursor_ + overflow_bytes_);
   stats_.high_water_bytes = std::max(stats_.high_water_bytes, episode_peak_);
@@ -83,12 +75,13 @@ std::byte* Arena::raw_alloc(std::size_t bytes) {
 }
 
 void Arena::end_episode() {
-  if (!overflow_.empty() || episode_peak_ > capacity_) {
+  const std::size_t capacity = slab_.size();
+  if (!overflow_.empty() || episode_peak_ > capacity) {
     // Geometric growth: repeated slightly-larger episodes must not realloc
     // every round.
     replace_slab(std::max(round_up(episode_peak_, kAlignment),
-                          capacity_ * 2));
-  } else if (trim_ > 0 && capacity_ > trim_ && episode_peak_ > 0 &&
+                          capacity * 2));
+  } else if (trim_ > 0 && capacity > trim_ && episode_peak_ > 0 &&
              episode_peak_ <= trim_) {
     replace_slab(round_up(episode_peak_, kAlignment));
   }

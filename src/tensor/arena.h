@@ -21,10 +21,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
+
+#include "tensor/aligned.h"
 
 namespace fedvr::tensor {
 
@@ -32,9 +33,8 @@ class Workspace;
 
 class Arena {
  public:
-  /// Every span handed out is aligned to this (one x86 cache line, and
-  /// one AVX-512 vector, the widest any kernel variant uses).
-  static constexpr std::size_t kAlignment = 64;
+  /// Every span handed out starts on a cache line.
+  static constexpr std::size_t kAlignment = kCacheLine;
 
   /// `trim_bytes` caps long-term slab retention: when > 0 and an episode
   /// (outermost scope) finishes having used no more than the cap while the
@@ -46,7 +46,7 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  [[nodiscard]] std::size_t capacity_bytes() const { return capacity_; }
+  [[nodiscard]] std::size_t capacity_bytes() const { return slab_.size(); }
   [[nodiscard]] std::size_t used_bytes() const { return cursor_; }
   [[nodiscard]] bool in_scope() const { return depth_ > 0; }
 
@@ -70,14 +70,13 @@ class Arena {
   void end_episode();
   void replace_slab(std::size_t new_capacity);
 
-  std::unique_ptr<std::byte[]> slab_;
-  std::size_t capacity_ = 0;
+  AlignedVector<std::byte> slab_;
   std::size_t cursor_ = 0;
   std::size_t trim_ = 0;
   std::size_t depth_ = 0;
   std::size_t episode_peak_ = 0;   // cursor + overflow high water, episode
   std::size_t overflow_bytes_ = 0; // live overflow bytes this episode
-  std::vector<std::unique_ptr<std::byte[]>> overflow_;
+  std::vector<AlignedVector<std::byte>> overflow_;
   Stats stats_;
 };
 

@@ -92,6 +92,30 @@ TEST(AllocFree, SmallCnnGradient) {
   EXPECT_EQ(third_call_allocations(*make_two_layer_cnn(cfg), ds, 8), 0u);
 }
 
+// The eval's per-device calls read the whole shard through the thread's
+// identity index span, so a warm call builds no index vector.
+TEST(AllocFree, FullBatchLossAndGradient) {
+  util::Rng rng(4);
+  const auto ds = random_dataset(tensor::Shape({60}), 150, 10, rng);
+  const auto model = make_logistic_regression(60, 10);
+  std::vector<double> w(model->num_parameters());
+  model->initialize(rng, w);
+  std::vector<double> grad(w.size());
+  util::ThreadPool pool(1);
+  const auto third = [&](const auto& call) {
+    return pool
+        .submit([&] {
+          for (int warm = 0; warm < 2; ++warm) call();
+          const std::uint64_t before = allocations();
+          call();
+          return allocations() - before;
+        })
+        .get();
+  };
+  EXPECT_EQ(third([&] { (void)model->full_loss(w, ds); }), 0u);
+  EXPECT_EQ(third([&] { (void)model->full_gradient(w, ds, grad); }), 0u);
+}
+
 // Heap allocations made by the third LocalSolver::solve on one warm
 // SolverWorkspace, run on a pool worker.
 std::uint64_t third_solve_allocations(std::size_t dim, std::size_t batch,

@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "opt/local_solver.h"
+#include "tensor/aligned.h"
 #include "testing/quadratic_model.h"
 #include "util/rng.h"
 
@@ -127,9 +129,9 @@ TEST(SolverWorkspaceSolve, SharedWorkspaceAcrossDimensionsStaysIdentical) {
 }
 
 // The zero-allocation claim, pinned as an observable: once warm, repeated
-// solves stop moving buffer storage. solve() swaps the chosen iterate into
-// w_out (and w_prev/w_curr swap internally), so individual members trade
-// pointers — but the *multiset* of backing allocations must be closed.
+// solves stop moving buffer storage. w_prev and w_curr swap inside every
+// inner iteration, so individual members trade pointers — but the
+// *multiset* of backing allocations must be closed.
 TEST(SolverWorkspaceSolve, WarmSolvesReuseBufferStorage) {
   const std::size_t dim = 5;
   const auto model = quad_model(dim);
@@ -160,6 +162,52 @@ TEST(SolverWorkspaceSolve, WarmSolvesReuseBufferStorage) {
   for (int round = 0; round < 10; ++round) {
     (void)solver.solve(ds, anchor, rng, ws, w_out);
     EXPECT_EQ(storage(), warm_storage) << "round " << round;
+  }
+}
+
+// Every dim-sized buffer and the mini-batch copy start on a cache line
+// after SVRG and SARAH solves: they are the operands of the model's GEMMs
+// and of the solver's vector kernels. An odd tau leaves w_prev and w_curr
+// swapped, an even one does not; dim 5 makes each buffer 40 bytes, no
+// multiple of a line.
+TEST(Alignment, SolverWorkspaceBuffersStartOnALine) {
+  const std::size_t dim = 5;
+  const auto model = quad_model(dim);
+  const auto ds = quadratic_dataset(23, dim, 2.0, 1.0, 3);
+  const std::vector<double> anchor(dim, 0.25);
+  const auto on_line = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % tensor::kCacheLine == 0;
+  };
+  for (const Estimator estimator : {Estimator::kSvrg, Estimator::kSarah}) {
+    for (const std::size_t tau : {4, 5}) {
+      auto opts = base_options();
+      opts.estimator = estimator;
+      opts.tau = tau;
+      opts.batch_size = 3;
+      opts.selection = IterateSelection::kUniformRandom;  // fills snapshot
+      opts.compute_diagnostics = true;                    // fills grad_j
+      const LocalSolver solver(model, opts);
+      SolverWorkspace ws;
+      std::vector<double> w_out;
+      Rng rng(tau);
+      (void)solver.solve(ds, anchor, rng, ws, w_out);
+      ws.delta.resize(dim);  // the trainer's upload staging
+      std::vector<const SolverWorkspace::Vector*> buffers = {
+          &ws.w_prev,   &ws.w_curr,   &ws.v,      &ws.grad_curr,
+          &ws.grad_ref, &ws.snapshot, &ws.grad_j, &ws.delta};
+      if (estimator == Estimator::kSvrg) {
+        buffers.push_back(&ws.v0);
+        buffers.push_back(&ws.anchor_w);
+      }
+      for (std::size_t b = 0; b < buffers.size(); ++b) {
+        ASSERT_EQ(buffers[b]->size(), dim) << "buffer " << b;
+        EXPECT_TRUE(on_line(buffers[b]->data()))
+            << "buffer " << b << ", tau " << tau;
+      }
+      const std::size_t rows = ws.batch_rows.size();
+      ASSERT_EQ(rows, 3U);
+      EXPECT_TRUE(on_line(ws.batch_rows.rows(0, rows).data()));
+    }
   }
 }
 

@@ -38,6 +38,16 @@ exactly what a *line* can decide without a parse:
                     and `#pragma GCC target` / `target(...)` attributes are
                     allowed in that one file only.
 
+  aligned-hot-buffers
+                    The buffers the kernels stream (Dataset features, the
+                    solver workspace, nn's activations and eval scratch)
+                    are tensor::AlignedVector, so they start on a cache
+                    line. A std::vector<double> member in src/data/
+                    dataset.h, src/opt/workspace.h, src/nn/sequential.h or
+                    src/nn/feedforward.cpp's struct EvalScratch gets
+                    malloc's 16-byte alignment, and the AVX-512 tiles then
+                    read every row across two lines.
+
 False positives are silenced with `// lint:allow(<rule>) <why>` on the
 offending line or the line directly above it — the justification is
 mandatory and shows up in review.
@@ -70,6 +80,28 @@ TARGET_CLONES = re.compile(r"target_clones")
 ISA_TARGET = re.compile(
     r"target_clones|#\s*pragma\s+GCC\s+target\b"
     r"|__attribute__\s*\(\(\s*target\s*\(|\[\[\s*gnu::target\s*\(")
+
+# Files whose double buffers are kernel operands, each mapped to the struct
+# the aligned-hot-buffers rule scans ("": the whole file).
+HOT_BUFFER_FILES = {
+    "data/dataset.h": "",
+    "opt/workspace.h": "",
+    "nn/sequential.h": "",
+    "nn/feedforward.cpp": "EvalScratch",
+}
+# A member-shaped declaration: the type (possibly nested in another vector),
+# a name, then `;`, `{` or `=`. Parameters and return types do not match.
+VECTOR_DOUBLE_MEMBER = re.compile(r"std::vector<\s*double\s*>+\s+\w+\s*[;{=]")
+
+
+def hot_buffer_struct(path: Path) -> str | None:
+    """The struct whose members the aligned-hot-buffers rule checks in
+    `path`: "" for the whole file, None when the rule does not apply."""
+    try:
+        return HOT_BUFFER_FILES.get(path.relative_to(SRC).as_posix())
+    except ValueError:
+        return None
+
 
 # (rule, pattern, file-filter, message)
 RULES = [
@@ -104,23 +136,43 @@ RULES = [
         "src/tensor/kernels.cpp, whose kernel_shape() is the one ISA "
         "dispatch",
     ),
+    (
+        "aligned-hot-buffers",
+        VECTOR_DOUBLE_MEMBER,
+        lambda p: hot_buffer_struct(p) is not None,
+        "kernel-operand storage is tensor::AlignedVector<double> "
+        "(tensor/aligned.h), which starts on a cache line; "
+        "std::vector<double> is aligned to 16 bytes only",
+    ),
 ]
 
 def lint_file(path: Path) -> list[str]:
     errors = []
     rel = path.relative_to(REPO)
     prev_allow = None
+    # aligned-hot-buffers looks at the whole file, or inside one struct.
+    struct = hot_buffer_struct(path)
+    in_struct = struct == ""
     for lineno, raw in enumerate(
         path.read_text(encoding="utf-8").splitlines(), start=1
     ):
         allow = ALLOW.search(raw) or prev_allow
         prev_allow = ALLOW.search(raw)
+        if struct:
+            if re.search(rf"\bstruct\s+{struct}\b", raw):
+                in_struct = True
+            elif in_struct and re.match(r"\s*};", raw):
+                in_struct = False
         for rule, pattern, applies, message in RULES:
             if not applies(path):
                 continue
-            # Every remaining rule targets directives or comments, so the
-            # raw line is the haystack (no comment/string stripping).
-            if not pattern.search(raw):
+            if rule == "aligned-hot-buffers":
+                # Declarations, not prose: the code before any comment.
+                if not in_struct or not pattern.search(raw.split("//")[0]):
+                    continue
+            # Every other rule targets directives or comments, so the raw
+            # line is the haystack (no comment/string stripping).
+            elif not pattern.search(raw):
                 continue
             if rule == "nolint-needs-reason" and NOLINT_JUSTIFIED.search(raw):
                 continue
