@@ -65,6 +65,7 @@ class ProxSkipVRPolicy final : public fl::RoundPolicy {
     }
     h_.assign(x_.size(), 0.0);
     anchor_grad_.assign(x_.size(), 0.0);
+    records_.resize(fed_.num_devices());
     x_next_.assign(dim_, 0.0);
     xbar_.assign(dim_, 0.0);
     return refresh_anchor_gradients();
@@ -94,7 +95,8 @@ class ProxSkipVRPolicy final : public fl::RoundPolicy {
     for (auto& i : idx) i = rng.below(ds.size());
 
     // SVRG estimator: ∇f_B(x_n) − ∇f_B(anchor) + ∇F_n(anchor), with the
-    // same minibatch at both points (eq. 8b).
+    // same minibatch at both points (eq. 8b); the anchor half replays the
+    // device's record of its last anchor gradient.
     opt::SolverWorkspace::Vector& g = ws.grad_curr;
     g.resize(dim_);
     opt::SolverWorkspace::Vector& g_anchor = ws.grad_ref;
@@ -103,7 +105,7 @@ class ProxSkipVRPolicy final : public fl::RoundPolicy {
     const std::span<const double> hn = view(h_, n);
     const std::span<const double> agn = view(anchor_grad_, n);
     model_->loss_and_gradient(xn, ds, idx, g);
-    model_->loss_and_gradient(anchor_, ds, idx, g_anchor);
+    model_->replay_gradient(anchor_, ds, idx, records_[n], idx, g_anchor);
     // v = g − g_anchor + anchor_grad; x̂ = x − γ(v − h), written in place.
     const double gamma = options_.step_size;
     for (std::size_t i = 0; i < dim_; ++i) {
@@ -191,10 +193,12 @@ class ProxSkipVRPolicy final : public fl::RoundPolicy {
     }
   }
 
-  // ∇F_n(anchor) for every device, the SVRG reference; returns its cost.
+  // ∇F_n(anchor) for every device, the SVRG reference, recorded for the
+  // local steps until the next communication; returns its cost.
   std::size_t refresh_anchor_gradients() {
     for_each_device([&](std::size_t n) {
-      model_->full_gradient(anchor_, fed_.train[n], view(anchor_grad_, n));
+      (void)model_->record_gradient(anchor_, fed_.train[n],
+                                    view(anchor_grad_, n), records_[n]);
     });
     return total_samples_;
   }
@@ -209,6 +213,7 @@ class ProxSkipVRPolicy final : public fl::RoundPolicy {
   std::vector<double> x_;            // local iterates
   std::vector<double> h_;            // control variates
   std::vector<double> anchor_grad_;  // ∇F_n(anchor), SVRG
+  std::vector<nn::GradientRecord> records_;  // per device, at anchor_
   std::vector<double> x_next_;
   std::vector<double> xbar_;
   std::vector<double> survivor_weights_;

@@ -677,6 +677,27 @@ Trainer::Trainer(std::shared_ptr<const nn::Model> model,
   }
 }
 
+namespace {
+
+// The eval's per-call buffers, kept by the calling thread so a warm eval
+// allocates nothing (the idiom of nn::identity_indices and nn's eval
+// scratch). A fan-out's chunks write them through references taken on the
+// calling thread, never through eval_buffers() on a worker.
+struct EvalBuffers {
+  std::vector<double> per_device;
+  std::vector<double> weights;
+  std::vector<std::size_t> predicted;
+  std::vector<double> total;
+  std::vector<double> scratch;
+};
+
+EvalBuffers& eval_buffers() {
+  thread_local EvalBuffers buffers;
+  return buffers;
+}
+
+}  // namespace
+
 // The eval path dominates wall time at eval_every=1, so all three metrics
 // fan out across the pool. Determinism across pool sizes holds because
 // every floating-point reduction happens serially in ascending device (or
@@ -687,8 +708,10 @@ Trainer::Trainer(std::shared_ptr<const nn::Model> model,
 
 double Trainer::global_loss(std::span<const double> w) const {
   const std::size_t num_devices = fed_->num_devices();
-  std::vector<double> per_device(num_devices, 0.0);
-  std::vector<double> weights(num_devices, 0.0);
+  std::vector<double>& per_device = eval_buffers().per_device;
+  std::vector<double>& weights = eval_buffers().weights;
+  per_device.assign(num_devices, 0.0);
+  weights.assign(num_devices, 0.0);
   util::ThreadPool::global().parallel_for(0, num_devices, [&](std::size_t n) {
     data::Dataset scratch;
     per_device[n] = model_->full_loss(w, fed_->train(n, scratch));
@@ -708,8 +731,10 @@ double Trainer::global_grad_norm_sq(std::span<const double> w) const {
   // serially, ascending by device index.
   constexpr std::size_t kWave = 4;
   const std::size_t wave = std::min(kWave, num_devices);
-  std::vector<double> total(dim, 0.0);
-  std::vector<double> scratch(wave * dim);
+  std::vector<double>& total = eval_buffers().total;
+  std::vector<double>& scratch = eval_buffers().scratch;
+  total.assign(dim, 0.0);
+  scratch.resize(wave * dim);  // full_gradient overwrites
   for (std::size_t base = 0; base < num_devices; base += wave) {
     const std::size_t count = std::min(wave, num_devices - base);
     util::ThreadPool::global().parallel_for(0, count, [&](std::size_t i) {
@@ -737,7 +762,8 @@ double Trainer::test_accuracy(std::span<const double> w) const {
   constexpr std::size_t kChunk = 256;
   const std::size_t nchunks = (size + kChunk - 1) / kChunk;
   const std::span<const std::size_t> indices = nn::identity_indices(size);
-  std::vector<std::size_t> predicted(size);
+  std::vector<std::size_t>& predicted = eval_buffers().predicted;
+  predicted.resize(size);  // predict overwrites
   util::ThreadPool::global().parallel_for(0, nchunks, [&](std::size_t c) {
     const std::size_t lo = c * kChunk;
     const std::size_t len = std::min(kChunk, size - lo);

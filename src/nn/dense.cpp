@@ -37,17 +37,24 @@ void DenseLayer::backward(std::span<const double> w, std::size_t batch,
                           std::span<const double> dy, std::span<double> dx,
                           std::span<double> dw,
                           const LayerCache& /*cache*/) const {
-  FEDVR_CHECK(w.size() == param_count() && dw.size() == param_count());
-  FEDVR_CHECK(x.size() == batch * in_ && dy.size() == batch * out_);
+  FEDVR_CHECK(w.size() == param_count());
   FEDVR_CHECK(dx.empty() || dx.size() == batch * in_);
-  const auto weights = w.subspan(0, out_ * in_);
-  auto d_weights = dw.subspan(0, out_ * in_);
-  auto d_bias = dw.subspan(out_ * in_, out_);
   if (!dx.empty()) {
+    FEDVR_CHECK(dy.size() == batch * out_);
     // dx (B x in) = dy (B x out) * W (out x in)
     tensor::gemm_packed(tensor::Trans::kNo, tensor::Trans::kNo, batch, in_,
-                        out_, 1.0, dy, weights, 0.0, dx);
+                        out_, 1.0, dy, w.subspan(0, out_ * in_), 0.0, dx);
   }
+  param_gradient(batch, x, dy, dw);
+}
+
+void DenseLayer::param_gradient(std::size_t batch, std::span<const double> x,
+                                std::span<const double> dy,
+                                std::span<double> dw) const {
+  FEDVR_CHECK(dw.size() == param_count());
+  FEDVR_CHECK(x.size() == batch * in_ && dy.size() == batch * out_);
+  auto d_weights = dw.subspan(0, out_ * in_);
+  auto d_bias = dw.subspan(out_ * in_, out_);
   // dW (out x in) += dy^T (out x B) * x (B x in)
   tensor::gemm_packed(tensor::Trans::kYes, tensor::Trans::kNo, out_, in_,
                       batch, 1.0, dy, x, 1.0, d_weights);

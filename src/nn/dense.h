@@ -28,6 +28,12 @@ class DenseLayer final : public Layer {
                 std::span<const double> dy, std::span<double> dx,
                 std::span<double> dw, const LayerCache& cache) const override;
 
+  /// backward()'s parameter half: dW += dy^T x and db += column sums of dy.
+  /// It reads neither the output nor a cache, so it needs no forward pass
+  /// of this batch.
+  void param_gradient(std::size_t batch, std::span<const double> x,
+                      std::span<const double> dy, std::span<double> dw) const;
+
   [[nodiscard]] std::string name() const override { return "dense"; }
 
  private:

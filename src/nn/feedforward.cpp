@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "check/check.h"
+#include "nn/dense.h"
 #include "nn/loss.h"
 #include "tensor/kernels.h"
 #include "tensor/vecops.h"
@@ -39,6 +40,19 @@ FeedForwardModel::FeedForwardModel(std::shared_ptr<const Sequential> net,
   FEDVR_CHECK(net_ != nullptr);
   FEDVR_CHECK(l2_reg >= 0.0);
   FEDVR_CHECK(max_chunk_ >= 1);
+}
+
+const DenseLayer* FeedForwardModel::replay_layer() const {
+  // Deeper networks would have to keep every layer's activations, and a
+  // shape whose forward rows depend on the call would replay other bits.
+  const auto* dense = net_->num_layers() == 1
+                          ? dynamic_cast<const DenseLayer*>(&net_->layer(0))
+                          : nullptr;
+  return dense != nullptr &&
+                 tensor::abt_rows_call_invariant(
+                     max_chunk_, dense->out_size(), dense->in_size())
+             ? dense
+             : nullptr;
 }
 
 void FeedForwardModel::initialize(util::Rng& rng, std::span<double> w) const {
@@ -93,15 +107,17 @@ double FeedForwardModel::loss(std::span<const double> w,
   return value;
 }
 
-double FeedForwardModel::loss_and_gradient(
-    std::span<const double> w, const data::Dataset& ds,
-    std::span<const std::size_t> indices, std::span<double> grad) const {
+template <typename ChunkStep>
+double FeedForwardModel::gradient_chunks(std::span<const double> w,
+                                         const data::Dataset& ds,
+                                         std::span<const std::size_t> indices,
+                                         std::span<double> grad,
+                                         const ChunkStep& chunk_step) const {
   FEDVR_CHECK(w.size() == num_parameters());
   FEDVR_CHECK(grad.size() == num_parameters());
   FEDVR_CHECK(!indices.empty());
   tensor::fill(grad, 0.0);
   EvalScratch& scratch = eval_scratch();
-  Sequential::Workspace& ws = scratch.ws;
   tensor::AlignedVector<double>& xbuf = scratch.xbuf;
   std::vector<int>& ybuf = scratch.ybuf;
   tensor::AlignedVector<double>& d_logits = scratch.d_logits;
@@ -121,31 +137,121 @@ double FeedForwardModel::loss_and_gradient(
     const std::size_t count = std::min(max_chunk_, indices.size() - start);
     const ChunkRows rows =
         chunk_rows(ds, indices.subspan(start, count), xbuf, ybuf);
-    const auto logits = net_->forward(w, count, rows.x, ws, /*training=*/true);
     const auto d_chunk = std::span<double>(d_logits).first(count * classes);
-    const double chunk_loss = softmax_cross_entropy_backward(
-        count, classes, logits, rows.y, d_chunk);
-    weighted += static_cast<double>(count) * chunk_loss;
     if (one_chunk) {
-      net_->backward(w, count, rows.x, d_chunk, grad, ws);
+      weighted += static_cast<double>(count) *
+                  chunk_step(start, count, rows, d_chunk, grad);
       continue;
     }
     // Chunk gradients are per-chunk means; rescale into a global mean.
     tensor::fill(chunk_grad, 0.0);
-    net_->backward(w, count, rows.x, d_chunk, chunk_grad, ws);
+    weighted += static_cast<double>(count) *
+                chunk_step(start, count, rows, d_chunk,
+                           std::span<double>(chunk_grad));
     tensor::axpy(static_cast<double>(count) /
                      static_cast<double>(indices.size()),
                  chunk_grad, grad);
   }
-  double value = weighted / static_cast<double>(indices.size());
-  if (l2_reg_ > 0.0) {
-    value += 0.5 * l2_reg_ * tensor::nrm2_squared(w);
-    tensor::axpy(l2_reg_, w, grad);
-  }
+  if (l2_reg_ > 0.0) tensor::axpy(l2_reg_, w, grad);
   // Model boundary: a non-finite gradient here silently corrupts every
   // downstream estimator (SVRG/SARAH difference terms amplify it).
   FEDVR_CHECK_FINITE(grad, "model gradient");
+  return weighted / static_cast<double>(indices.size());
+}
+
+double FeedForwardModel::loss_and_gradient(
+    std::span<const double> w, const data::Dataset& ds,
+    std::span<const std::size_t> indices, std::span<double> grad) const {
+  Sequential::Workspace& ws = eval_scratch().ws;
+  const std::size_t classes = net_->out_size();
+  double value = gradient_chunks(
+      w, ds, indices, grad,
+      [&](std::size_t /*start*/, std::size_t count, const ChunkRows& rows,
+          std::span<double> d_chunk, std::span<double> dw) {
+        const auto logits =
+            net_->forward(w, count, rows.x, ws, /*training=*/true);
+        const double chunk_loss = softmax_cross_entropy_backward(
+            count, classes, logits, rows.y, d_chunk);
+        net_->backward(w, count, rows.x, d_chunk, dw, ws);
+        return chunk_loss;
+      });
+  if (l2_reg_ > 0.0) value += 0.5 * l2_reg_ * tensor::nrm2_squared(w);
   return value;
+}
+
+void FeedForwardModel::replay_chunk(const DenseLayer& dense,
+                                    std::span<const int> labels,
+                                    std::span<const double> x,
+                                    std::span<double> d_chunk,
+                                    std::span<double> dw) const {
+  softmax_cross_entropy_adjust(labels.size(), net_->out_size(), labels,
+                               d_chunk);
+  FEDVR_CHECK_FINITE(d_chunk, "sequential upstream gradient");
+  dense.param_gradient(labels.size(), x, d_chunk, dw);
+}
+
+double FeedForwardModel::record_gradient(std::span<const double> w,
+                                         const data::Dataset& ds,
+                                         std::span<double> grad,
+                                         GradientRecord& record) const {
+  const DenseLayer* dense = replay_layer();
+  if (dense == nullptr) return Model::record_gradient(w, ds, grad, record);
+  record.start(w);
+  Sequential::Workspace& ws = eval_scratch().ws;
+  const std::size_t classes = net_->out_size();
+  record.outputs.resize(ds.size() * classes);
+  double value = gradient_chunks(
+      w, ds, identity_indices(ds.size()), grad,
+      [&](std::size_t start, std::size_t count, const ChunkRows& rows,
+          std::span<double> d_chunk, std::span<double> dw) {
+        const auto logits =
+            net_->forward(w, count, rows.x, ws, /*training=*/false);
+        const auto probs = std::span<double>(record.outputs)
+                               .subspan(start * classes, count * classes);
+        const double chunk_loss =
+            softmax_probabilities(count, classes, logits, rows.y, probs);
+        std::copy(probs.begin(), probs.end(), d_chunk.begin());
+        replay_chunk(*dense, rows.y, rows.x, d_chunk, dw);
+        return chunk_loss;
+      });
+  record.rows = ds.size();
+  record.width = classes;
+  if (l2_reg_ > 0.0) value += 0.5 * l2_reg_ * tensor::nrm2_squared(w);
+  return value;
+}
+
+void FeedForwardModel::replay_gradient(
+    std::span<const double> w, const data::Dataset& ds,
+    std::span<const std::size_t> indices, const GradientRecord& record,
+    std::span<const std::size_t> record_rows, std::span<double> grad) const {
+  const DenseLayer* dense = replay_layer();
+  if (dense == nullptr) {
+    Model::replay_gradient(w, ds, indices, record, record_rows, grad);
+    return;
+  }
+  record.check_taken_at(w);
+  FEDVR_CHECK_SHAPE(record_rows.size(), indices.size());
+  const std::size_t classes = net_->out_size();
+  FEDVR_CHECK_MSG(record.width == classes,
+                  "gradient record holds " << record.width
+                                           << " outputs per sample, model has "
+                                           << classes);
+  const std::span<const double> outputs(record.outputs);
+  (void)gradient_chunks(
+      w, ds, indices, grad,
+      [&](std::size_t start, std::size_t count, const ChunkRows& rows,
+          std::span<double> d_chunk, std::span<double> dw) {
+        for (std::size_t k = 0; k < count; ++k) {
+          const std::size_t row = record_rows[start + k];
+          FEDVR_CHECK_INDEX(row, record.rows);
+          const auto probs = outputs.subspan(row * classes, classes);
+          std::copy(probs.begin(), probs.end(),
+                    d_chunk.begin() +
+                        static_cast<std::ptrdiff_t>(k * classes));
+        }
+        replay_chunk(*dense, rows.y, rows.x, d_chunk, dw);
+        return 0.0;
+      });
 }
 
 void FeedForwardModel::predict(std::span<const double> w,

@@ -54,16 +54,34 @@ double softmax_cross_entropy_backward(std::size_t batch, std::size_t classes,
                                       std::span<const double> logits,
                                       std::span<const int> labels,
                                       std::span<double> d_logits) {
-  FEDVR_CHECK(d_logits.size() == batch * classes);
   const double loss =
-      cross_entropy_core(batch, classes, logits, labels, d_logits.data());
+      softmax_probabilities(batch, classes, logits, labels, d_logits);
+  softmax_cross_entropy_adjust(batch, classes, labels, d_logits);
+  return loss;
+}
+
+double softmax_probabilities(std::size_t batch, std::size_t classes,
+                             std::span<const double> logits,
+                             std::span<const int> labels,
+                             std::span<double> probs) {
+  FEDVR_CHECK(probs.size() == batch * classes);
+  return cross_entropy_core(batch, classes, logits, labels, probs.data());
+}
+
+void softmax_cross_entropy_adjust(std::size_t batch, std::size_t classes,
+                                  std::span<const int> labels,
+                                  std::span<double> d) {
+  FEDVR_CHECK(d.size() == batch * classes);
+  FEDVR_CHECK(labels.size() == batch);
   const double inv_batch = 1.0 / static_cast<double>(batch);
   for (std::size_t i = 0; i < batch; ++i) {
-    double* row = d_logits.data() + i * classes;
-    row[static_cast<std::size_t>(labels[i])] -= 1.0;
+    const int label = labels[i];
+    FEDVR_CHECK_MSG(label >= 0 && static_cast<std::size_t>(label) < classes,
+                    "label " << label << " out of range");
+    double* row = d.data() + i * classes;
+    row[static_cast<std::size_t>(label)] -= 1.0;
     for (std::size_t j = 0; j < classes; ++j) row[j] *= inv_batch;
   }
-  return loss;
 }
 
 }  // namespace fedvr::nn

@@ -76,7 +76,18 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
   w_prev.assign(anchor.begin(), anchor.end());
   SolverWorkspace::Vector& v = ws.v;
   v.resize(dim);  // loss_and_gradient overwrites
-  result.anchor_loss = model_->loss_and_gradient(w_prev, train, full_idx, v);
+  const SolverWorkspace::Vector& anchor_w = ws.anchor_w;
+  if (options_.estimator == Estimator::kSvrg) {
+    // SVRG's reference point w^(0) stays fixed for all tau steps, so the
+    // line-4 pass records the model's outputs there and every step replays
+    // its mini-batch's rows instead of recomputing them.
+    ws.anchor_w.assign(anchor.begin(), anchor.end());
+    result.anchor_loss =
+        model_->record_gradient(anchor_w, train, v, ws.anchor_record);
+  } else {
+    result.anchor_loss =
+        model_->loss_and_gradient(w_prev, train, full_idx, v);
+  }
   result.sample_gradient_evals += n;
   result.anchor_grad_norm = tensor::nrm2(v);
   FEDVR_OBS_COUNT("solver.anchor_gradients", 1);
@@ -96,11 +107,9 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
   SolverWorkspace::Vector& grad_ref = ws.grad_ref;
   grad_ref.resize(dim);
   if (options_.estimator == Estimator::kSvrg) {
-    ws.v0.assign(v.begin(), v.end());          // SVRG keeps the anchor direction
-    ws.anchor_w.assign(w_prev.begin(), w_prev.end());  // reference point w^(0)
+    ws.v0.assign(v.begin(), v.end());  // SVRG keeps the anchor direction
   }
   const SolverWorkspace::Vector& v0 = ws.v0;
-  const SolverWorkspace::Vector& anchor_w = ws.anchor_w;
   // Line 6: B i.i.d. uniform draws with replacement. A batch that covers
   // the dataset degenerates to the deterministic full batch.
   std::vector<std::size_t>& batch = ws.batch;
@@ -136,7 +145,9 @@ LocalSolverResult LocalSolver::solve(const data::Dataset& train,
         draw_batch();
         const auto rows = copy_batch_rows();
         (void)model_->loss_and_gradient(w_curr, batch_rows, rows, grad_curr);
-        (void)model_->loss_and_gradient(anchor_w, batch_rows, rows, grad_ref);
+        // The drawn indices name each copied row's recorded row.
+        model_->replay_gradient(anchor_w, batch_rows, rows, ws.anchor_record,
+                                batch, grad_ref);
         result.sample_gradient_evals += 2 * batch.size();
         tensor::diff_plus(grad_curr, grad_ref, v0, v);
         break;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "nn/model.h"
 #include "tensor/aligned.h"
 
 namespace fedvr::opt {
@@ -36,6 +37,9 @@ struct SolverWorkspace {
   Vector grad_ref;
   Vector v0;        // SVRG anchor direction
   Vector anchor_w;  // SVRG gradient reference point
+  // The model's outputs at anchor_w from the line-4 full gradient, which
+  // each SVRG step replays for its mini-batch (nn::Model::replay_gradient).
+  nn::GradientRecord anchor_record;
   Vector snapshot;  // kUniformRandom iterate snapshot
   Vector grad_j;    // full surrogate gradient (diagnostics)
   // The drawn mini-batch's rows, copied once per SVRG/SARAH step so both

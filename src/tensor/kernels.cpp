@@ -531,6 +531,15 @@ void gemm_packed(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   gemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, n);
 }
 
+bool abt_rows_call_invariant(std::size_t max_m, std::size_t n,
+                             std::size_t k) {
+  // Every m up to max_m takes the dot path, or none does: below kDotMinK a
+  // row is the small path's FMA chain or the blocked path's, which agree at
+  // unit alpha while k fits one KC block (kDotMinK < kKc).
+  static_assert(kDotMinK <= kKc);
+  return k < kDotMinK || max_m * n <= kDotMaxC;
+}
+
 void argmax_rows(std::size_t rows, std::size_t cols,
                  std::span<const double> x, std::span<std::size_t> out) {
   FEDVR_CHECK_SHAPE(x.size(), rows * cols);

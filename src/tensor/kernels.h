@@ -45,6 +45,14 @@ void gemm_packed(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
                  std::size_t k, double alpha, std::span<const double> a,
                  std::span<const double> b, double beta, std::span<double> c);
 
+/// True when C = A * B^T (gemm with kNo, kYes, unit alpha and zero beta)
+/// gives each row of C the same bits for every row count m in [1, max_m]
+/// over the same B, so a row's result does not depend on which rows share
+/// its call. Dense's forward is this product: its per-sample outputs are
+/// then the same in a full-batch chunk and in any smaller mini-batch.
+[[nodiscard]] bool abt_rows_call_invariant(std::size_t max_m, std::size_t n,
+                                           std::size_t k);
+
 /// Row-wise argmax of a (rows x cols) matrix.
 void argmax_rows(std::size_t rows, std::size_t cols,
                  std::span<const double> x, std::span<std::size_t> out);

@@ -1,9 +1,9 @@
 #include "util/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
-#include <unordered_set>
 
 #include "util/error.h"
 
@@ -66,22 +66,42 @@ void Rng::sample_subset_sorted(std::size_t n, std::size_t k,
                                std::vector<std::size_t>& out) {
   FEDVR_CHECK_MSG(k <= n, "cannot draw " << k << " distinct items from " << n);
   out.clear();
+  // The taken set: open addressing with linear probing over a power-of-two
+  // table of at least 2k slots, slot value item + 1 (0 = free). The table
+  // is the calling thread's and keeps its storage, so a warm call allocates
+  // nothing, and clearing its first `slots` entries costs O(k).
+  thread_local std::vector<std::size_t> table;
+  const std::size_t slots = std::bit_ceil(std::max<std::size_t>(2 * k, 16));
+  if (table.size() < slots) table.assign(slots, 0);
+  const int shift = 64 - std::countr_zero(slots);
+  const auto insert = [&](std::size_t item) {  // false if already taken
+    // Fibonacci hashing: the top bits of item * 2^64/phi.
+    std::size_t slot = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(item) * 0x9E3779B97F4A7C15ULL) >> shift);
+    while (table[slot] != 0) {
+      if (table[slot] == item + 1) return false;
+      slot = (slot + 1) & (slots - 1);
+    }
+    table[slot] = item + 1;
+    return true;
+  };
   // Floyd's algorithm (Bentley & Floyd, 1987): for j = n-k .. n-1 draw
   // t ∈ [0, j]; take t unless already taken, in which case take j (which
   // cannot have been taken before this step). Exactly k draws, uniform over
   // all k-subsets. Membership tests never iterate the set, so the result
-  // does not depend on hash iteration order.
-  std::unordered_set<std::size_t> chosen;
-  chosen.reserve(k);
+  // does not depend on where the table puts an item. Nothing in the loop
+  // throws once `out` has room for k, so the table is always left cleared.
+  out.reserve(k);
   for (std::size_t j = n - k; j < n; ++j) {
     const auto t = static_cast<std::size_t>(below(j + 1));
-    if (chosen.insert(t).second) {
+    if (insert(t)) {
       out.push_back(t);
     } else {
-      chosen.insert(j);
+      (void)insert(j);
       out.push_back(j);
     }
   }
+  std::fill_n(table.begin(), slots, 0);
   std::sort(out.begin(), out.end());
 }
 

@@ -113,9 +113,11 @@ class Rng {
   /// k distinct indices sampled uniformly from [0, n), returned in ascending
   /// order, appended to `out` (cleared first; capacity is reused). Floyd's
   /// algorithm: O(k) draws and O(k) memory however large n is, which is what
-  /// makes sampling m of 1,000,000 devices per round affordable — the O(n)
-  /// selection scan above walks the whole population. The two methods draw
-  /// different streams, so they are not interchangeable under a pinned seed.
+  /// makes sampling m of 1,000,000 devices per round affordable; its taken
+  /// set is a table the calling thread keeps, so a warm call with `out`'s
+  /// capacity at least k allocates nothing. The O(n) selection scan above
+  /// walks the whole population. The two methods draw different streams, so
+  /// they are not interchangeable under a pinned seed.
   void sample_subset_sorted(std::size_t n, std::size_t k,
                             std::vector<std::size_t>& out);
 

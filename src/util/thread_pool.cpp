@@ -65,7 +65,7 @@ void ThreadPool::note_dequeued() {
 }
 
 // TSAN: all queue and stopping_ state is exchanged under mutex_, and
-// submit()'s std::future (run_chunks: its batch mutex) provides the
+// submit()'s std::future (run_chunks: its job mutex) provides the
 // release/acquire edge that publishes a task's side effects to the waiter.
 // The only lock-free traffic here is the obs counters above, which are
 // sharded atomics (see obs/registry.h).
@@ -121,52 +121,62 @@ void ThreadPool::enqueue(std::function<void()> task) {
 void ThreadPool::run_chunks(
     std::size_t begin, std::size_t end, std::size_t chunks,
     const std::function<void(std::size_t, std::size_t)>& fn) {
-  // The chunks call through `fn`, which lives in the caller's frame, so this
-  // call must not return or throw while a chunk it enqueued may still run:
-  // it waits until as many chunks have finished as were enqueued, also when
-  // an enqueue throws part way through the loop.
-  struct Batch {
+  // The chunks call through `fn`, which lives in the caller's frame, and
+  // report to `job`, which lives in this one, so this call must not return
+  // or throw while a chunk it enqueued may still run: it waits until as
+  // many chunks have finished as were enqueued, also when an enqueue throws
+  // part way through the loop. A queued chunk holds only &job and its
+  // index, which std::function stores without allocating.
+  struct Job {
+    const std::function<void(std::size_t, std::size_t)>& fn;
+    std::size_t begin;
+    std::size_t end;
+    std::size_t chunk_len;
     std::mutex mutex;
     std::condition_variable done;
     std::size_t finished = 0;
     std::size_t error_lo = 0;  // start of the lowest chunk that threw
     std::exception_ptr error;
-  } batch;
+
+    [[nodiscard]] std::size_t lo(std::size_t c) const {
+      return begin + c * chunk_len;
+    }
+    [[nodiscard]] std::size_t hi(std::size_t c) const {
+      return std::min(end, lo(c) + chunk_len);
+    }
+    void run(std::size_t c) {
+      std::exception_ptr chunk_error;
+      try {
+        fn(lo(c), hi(c));
+      } catch (...) {
+        chunk_error = std::current_exception();
+      }
+      // Notify under the lock: the caller destroys the job as soon as it
+      // sees the last chunk finished.
+      std::scoped_lock lock(mutex);
+      if (chunk_error && (!error || lo(c) < error_lo)) {
+        error = chunk_error;
+        error_lo = lo(c);
+      }
+      ++finished;
+      done.notify_all();
+    }
+  } job{fn, begin, end, (end - begin + chunks - 1) / chunks};
   std::size_t queued = 0;
   std::exception_ptr enqueue_error;
-  const std::size_t chunk_len = (end - begin + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_len;
-    const std::size_t hi = std::min(end, lo + chunk_len);
-    if (lo >= hi) break;
+  for (std::size_t c = 0; c < chunks && job.lo(c) < job.hi(c); ++c) {
     try {
-      enqueue([lo, hi, &fn, &batch] {
-        std::exception_ptr error;
-        try {
-          fn(lo, hi);
-        } catch (...) {
-          error = std::current_exception();
-        }
-        // Notify under the lock: the caller destroys `batch` as soon as it
-        // sees the last chunk finished.
-        std::scoped_lock lock(batch.mutex);
-        if (error && (!batch.error || lo < batch.error_lo)) {
-          batch.error = error;
-          batch.error_lo = lo;
-        }
-        ++batch.finished;
-        batch.done.notify_all();
-      });
+      enqueue([&job, c] { job.run(c); });
       ++queued;
     } catch (...) {
       enqueue_error = std::current_exception();
       break;
     }
   }
-  std::unique_lock lock(batch.mutex);
-  batch.done.wait(lock, [&] { return batch.finished == queued; });
+  std::unique_lock lock(job.mutex);
+  job.done.wait(lock, [&] { return job.finished == queued; });
   if (enqueue_error) std::rethrow_exception(enqueue_error);
-  if (batch.error) std::rethrow_exception(batch.error);
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 bool ThreadPool::in_worker() { return tls_in_worker; }

@@ -9,14 +9,18 @@
 // round would cost megabytes.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "comm/message.h"
 #include "data/federation.h"
 #include "fl/trainer.h"
+#include "nn/models.h"
 #include "opt/local_solver.h"
 #include "testing/alloc_counter.h"
 #include "testing/quadratic_model.h"
@@ -143,11 +147,12 @@ TEST(FlAlloc, SolveIntoAWarmOutputAllocatesNothing) {
 }
 
 // A fan-out queues one type-erased task per chunk and waits for them. The
-// pool's task queue keeps its storage between fan-outs, so every warm
-// fan-out makes the same allocations: the chunks' own callables, nothing
-// for the queue. (A std::deque queue allocated a node every few fan-outs,
-// so the count cycled.) Equality, not a value: how many bytes a
-// std::function holds inline is up to the standard library.
+// pool's task queue keeps its storage between fan-outs, and a queued chunk
+// is a pointer to the fan-out's job record plus its index, 16 bytes, which
+// std::function holds without allocating; so a warm fan-out allocates
+// nothing. (A std::deque queue allocated a node every few fan-outs, so the
+// count cycled; a chunk that captured its bounds, the callable and the
+// job, 32 bytes, made one allocation each.)
 TEST(FlAlloc, WarmFanOutsAllocateTheSameCount) {
   util::ThreadPool::reset_global(4);
   util::ThreadPool& pool = util::ThreadPool::global();
@@ -159,10 +164,84 @@ TEST(FlAlloc, WarmFanOutsAllocateTheSameCount) {
   };
   for (int warm = 0; warm < 4; ++warm) (void)fan_out();
   const std::uint64_t first = fan_out();
+  EXPECT_EQ(first, 0U);
   for (int call = 0; call < 32; ++call) {
     EXPECT_EQ(fan_out(), first) << "fan-out " << call;
   }
   util::ThreadPool::reset_global(0);
+}
+
+// The round engine draws its participants with Floyd's sampler. Its taken
+// set is a table the calling thread keeps, so a warm draw into an output
+// with room allocates nothing, however many devices it draws. (A
+// std::unordered_set allocated one node per drawn device.)
+TEST(FlAlloc, WarmSubsetSampleAllocatesNothing) {
+  util::Rng rng(19);
+  std::vector<std::size_t> out;
+  out.reserve(64);
+  rng.sample_subset_sorted(100'000, 64, out);
+  const std::uint64_t before = testing::heap_allocations();
+  for (int round = 0; round < 10; ++round) {
+    rng.sample_subset_sorted(100'000, 64, out);
+    rng.sample_subset_sorted(40, 40, out);
+  }
+  EXPECT_EQ(testing::heap_allocations() - before, 0U);
+  EXPECT_EQ(out.size(), 40U);
+}
+
+// A warm eval (global_loss plus test_accuracy, both fanned out over a pool
+// of 4) allocates nothing: the fan-outs queue their chunks in place, the
+// model reads the thread's eval scratch and identity indices, and the
+// per-device partials and predictions live in buffers the calling thread
+// keeps. Every worker is warmed first on the largest shard, by a fan-out
+// whose chunks wait for each other, so all four run one.
+TEST(FlAlloc, WarmEvalAllocatesNothing) {
+  constexpr std::size_t kFeatures = 60;
+  const auto model = nn::make_logistic_regression(kFeatures, 10);
+  util::Rng rng(23);
+  const auto shard = [&](std::size_t n) {
+    data::Dataset ds(tensor::Shape({kFeatures}), n, 10);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (double& v : ds.mutable_sample(i)) v = rng.normal();
+      ds.set_label(i, static_cast<int>(rng.below(10)));
+    }
+    return ds;
+  };
+  data::FederatedDataset fed;
+  for (std::size_t n = 0; n < 9; ++n) {
+    fed.train.push_back(shard(40 + 10 * n));
+    fed.test.push_back(shard(70));
+  }
+  TrainerOptions opts;
+  opts.rounds = 1;
+  const Trainer trainer(model, fed, opts);
+  const std::vector<double> w = model->initial_parameters(rng);
+  util::ThreadPool::reset_global(4);
+  util::ThreadPool& pool = util::ThreadPool::global();
+  std::atomic<std::size_t> started{0};
+  pool.parallel_for(0, pool.size(), [&](std::size_t) {
+    started.fetch_add(1);
+    while (started.load() < pool.size()) std::this_thread::yield();
+    std::vector<std::size_t> predicted(256);
+    (void)model->full_loss(w, fed.train.back());
+    model->predict(w, fed.test.back(), nn::identity_indices(256).first(70),
+                   std::span<std::size_t>(predicted).first(70));
+  });
+  const double loss = trainer.global_loss(w);
+  const double accuracy = trainer.test_accuracy(w);
+  std::array<double, 10> evals{};
+  const std::uint64_t before = testing::heap_allocations();
+  for (std::size_t e = 0; e < evals.size(); e += 2) {
+    evals[e] = trainer.global_loss(w);
+    evals[e + 1] = trainer.test_accuracy(w);
+  }
+  const std::uint64_t allocations = testing::heap_allocations() - before;
+  util::ThreadPool::reset_global(0);
+  EXPECT_EQ(allocations, 0U);
+  for (std::size_t e = 0; e < evals.size(); e += 2) {
+    EXPECT_EQ(evals[e], loss);
+    EXPECT_EQ(evals[e + 1], accuracy);
+  }
 }
 
 }  // namespace

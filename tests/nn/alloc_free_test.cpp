@@ -116,13 +116,43 @@ TEST(AllocFree, FullBatchLossAndGradient) {
   EXPECT_EQ(third([&] { (void)model->full_gradient(w, ds, grad); }), 0u);
 }
 
+// ProxSkip-VR's anchor half: a device's mini-batch of gathered draws
+// replayed from the record of its last anchor gradient.
+TEST(AllocFree, ReplayedGradient) {
+  util::Rng rng(29);
+  const auto ds = random_dataset(tensor::Shape({60}), 150, 10, rng);
+  const auto model = make_logistic_regression(60, 10, 0.01);
+  ASSERT_TRUE(model->replays());
+  std::vector<double> w(model->num_parameters());
+  model->initialize(rng, w);
+  std::vector<double> grad(w.size());
+  const std::vector<std::size_t> draws = {7, 7, 149, 0, 64, 63, 12, 88};
+  util::ThreadPool pool(1);
+  const std::uint64_t made =
+      pool.submit([&] {
+            GradientRecord record;
+            for (int warm = 0; warm < 2; ++warm) {
+              (void)model->record_gradient(w, ds, grad, record);
+              model->replay_gradient(w, ds, draws, record, draws, grad);
+            }
+            const std::uint64_t before = allocations();
+            (void)model->record_gradient(w, ds, grad, record);
+            model->replay_gradient(w, ds, draws, record, draws, grad);
+            return allocations() - before;
+          })
+          .get();
+  EXPECT_EQ(made, 0u);
+}
+
 // Heap allocations made by the third LocalSolver::solve on one warm
-// SolverWorkspace, run on a pool worker.
+// SolverWorkspace, run on a pool worker. A logistic model replays its
+// anchor record in every SVRG step.
 std::uint64_t third_solve_allocations(std::size_t dim, std::size_t batch,
                                       opt::Estimator estimator) {
   util::Rng rng(31);
   const auto ds = random_dataset(tensor::Shape({dim}), 270, 10, rng);
   const auto model = make_logistic_regression(dim, 10);
+  EXPECT_TRUE(model->replays());
   opt::LocalSolverOptions opts;
   opts.estimator = estimator;
   opts.tau = 20;

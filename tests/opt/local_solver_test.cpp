@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "check/check.h"
 #include "nn/models.h"
@@ -495,6 +497,113 @@ TEST(LocalSolver, WorksWithRealLogisticRegression) {
   const double loss_before = model->full_loss(w0, ds);
   const auto result = solver.solve(ds, w0, rng);
   EXPECT_LT(model->full_loss(result.w, ds), loss_before);
+}
+
+// Forwards every call to a wrapped model and counts the record and replay
+// calls; with `forward_record_replay` off it keeps Model's defaults, which
+// record nothing and recompute, the way a decorator that predates them
+// does.
+class ReplayCounter final : public nn::Model {
+ public:
+  ReplayCounter(std::shared_ptr<const nn::Model> inner,
+                bool forward_record_replay)
+      : inner_(std::move(inner)), forward_(forward_record_replay) {}
+
+  [[nodiscard]] std::size_t num_parameters() const override {
+    return inner_->num_parameters();
+  }
+  void initialize(Rng& rng, std::span<double> w) const override {
+    inner_->initialize(rng, w);
+  }
+  [[nodiscard]] double loss(std::span<const double> w,
+                            const data::Dataset& ds,
+                            std::span<const std::size_t> indices)
+      const override {
+    return inner_->loss(w, ds, indices);
+  }
+  double loss_and_gradient(std::span<const double> w, const data::Dataset& ds,
+                           std::span<const std::size_t> indices,
+                           std::span<double> grad) const override {
+    return inner_->loss_and_gradient(w, ds, indices, grad);
+  }
+  void predict(std::span<const double> w, const data::Dataset& ds,
+               std::span<const std::size_t> indices,
+               std::span<std::size_t> out) const override {
+    inner_->predict(w, ds, indices, out);
+  }
+  double record_gradient(std::span<const double> w, const data::Dataset& ds,
+                         std::span<double> grad,
+                         nn::GradientRecord& record) const override {
+    ++records;
+    return forward_ ? inner_->record_gradient(w, ds, grad, record)
+                    : Model::record_gradient(w, ds, grad, record);
+  }
+  void replay_gradient(std::span<const double> w, const data::Dataset& ds,
+                       std::span<const std::size_t> indices,
+                       const nn::GradientRecord& record,
+                       std::span<const std::size_t> record_rows,
+                       std::span<double> grad) const override {
+    ++replays;
+    if (forward_) {
+      inner_->replay_gradient(w, ds, indices, record, record_rows, grad);
+    } else {
+      Model::replay_gradient(w, ds, indices, record, record_rows, grad);
+    }
+  }
+
+  mutable std::size_t records = 0;
+  mutable std::size_t replays = 0;
+
+ private:
+  std::shared_ptr<const nn::Model> inner_;
+  bool forward_;
+};
+
+// Only SVRG's reference point stays put for a whole solve: it records the
+// line-4 pass once and replays it at every step, and its iterate has the
+// bits of the recompute path. SARAH's reference point moves every step,
+// and the other estimators have none.
+TEST(LocalSolver, OnlySvrgReplaysTheAnchorRecord) {
+  const auto logistic = nn::make_logistic_regression(60, 10);
+  data::Dataset ds(tensor::Shape({60}), 90, 10);
+  Rng data_rng(73);
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    for (auto& v : ds.mutable_sample(i)) v = data_rng.normal();
+    ds.set_label(i, static_cast<int>(data_rng.below(10)));
+  }
+  const auto anchor = logistic->initial_parameters(data_rng);
+  for (const Estimator estimator :
+       {Estimator::kSvrg, Estimator::kSarah, Estimator::kSgd,
+        Estimator::kFullGradient}) {
+    for (const std::size_t batch : {8, 90}) {
+      LocalSolverOptions opts;
+      opts.estimator = estimator;
+      opts.tau = 6;
+      opts.eta = 0.05;
+      opts.mu = 0.1;
+      opts.batch_size = batch;
+      const auto replaying = std::make_shared<ReplayCounter>(logistic, true);
+      const auto recomputing =
+          std::make_shared<ReplayCounter>(logistic, false);
+      Rng rng_a(5);
+      Rng rng_b(5);
+      const auto a = LocalSolver(replaying, opts).solve(ds, anchor, rng_a);
+      const auto b = LocalSolver(recomputing, opts).solve(ds, anchor, rng_b);
+      const bool svrg = estimator == Estimator::kSvrg;
+      const std::string label = std::string(estimator_name(estimator)) +
+                                " B=" + std::to_string(batch);
+      EXPECT_EQ(replaying->records, svrg ? 1U : 0U) << label;
+      EXPECT_EQ(replaying->replays, svrg ? opts.tau : 0U) << label;
+      EXPECT_EQ(recomputing->replays, replaying->replays) << label;
+      ASSERT_EQ(a.w.size(), b.w.size()) << label;
+      EXPECT_EQ(std::memcmp(a.w.data(), b.w.data(),
+                            a.w.size() * sizeof(double)),
+                0)
+          << label;
+      EXPECT_EQ(a.anchor_loss, b.anchor_loss) << label;
+      EXPECT_EQ(a.sample_gradient_evals, b.sample_gradient_evals) << label;
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "nn/models.h"
 #include "opt/local_solver.h"
 #include "tensor/aligned.h"
 #include "testing/quadratic_model.h"
@@ -208,6 +209,44 @@ TEST(Alignment, SolverWorkspaceBuffersStartOnALine) {
       ASSERT_EQ(rows, 3U);
       EXPECT_TRUE(on_line(ws.batch_rows.rows(0, rows).data()));
     }
+  }
+}
+
+// The SVRG anchor record holds the shard's rows x classes probabilities,
+// which every step reads: its buffer starts on a cache line and keeps its
+// storage from solve to solve, a smaller shard reusing it.
+TEST(Alignment, AnchorRecordStartsOnALineAndKeepsItsStorage) {
+  const auto model = nn::make_logistic_regression(60, 10);
+  const auto shard = [](std::size_t n, std::uint64_t seed) {
+    data::Dataset ds(tensor::Shape({60}), n, 10);
+    Rng rng(seed);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (auto& v : ds.mutable_sample(i)) v = rng.normal();
+      ds.set_label(i, static_cast<int>(rng.below(10)));
+    }
+    return ds;
+  };
+  const auto big = shard(90, 1);
+  const auto small = shard(41, 2);
+  auto opts = base_options();
+  opts.batch_size = 8;
+  const LocalSolver solver(model, opts);
+  const std::vector<double> anchor(model->num_parameters(), 0.01);
+  SolverWorkspace ws;
+  std::vector<double> w_out;
+  Rng rng(3);
+  (void)solver.solve(big, anchor, rng, ws, w_out);
+  const nn::GradientRecord& record = ws.anchor_record;
+  EXPECT_EQ(record.rows, 90U);
+  EXPECT_EQ(record.width, 10U);
+  const double* storage = record.outputs.data();
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(storage) % tensor::kCacheLine,
+            0U);
+  for (int solve = 0; solve < 6; ++solve) {
+    const data::Dataset& ds = solve % 2 == 0 ? small : big;
+    (void)solver.solve(ds, anchor, rng, ws, w_out);
+    EXPECT_EQ(record.rows, ds.size()) << "solve " << solve;
+    EXPECT_EQ(record.outputs.data(), storage) << "solve " << solve;
   }
 }
 

@@ -316,5 +316,50 @@ TEST(GemmSmallPath, RowsMatchTheBlockedPathAtUnitAlpha) {
   }
 }
 
+// abt_rows_call_invariant(max_m, n, k) promises that the first m rows of
+// X * W^T have the bits of the max_m-row product for every m <= max_m, so
+// a row computed in a full-batch chunk equals that row computed in any
+// smaller mini-batch (nn::FeedForwardModel replays recorded outputs on this
+// promise). Where it says no, some row must indeed differ: the 512-row
+// products take the blocked path, their single rows the dot path.
+TEST(GemmRowsCallInvariant, HoldsWhereItSaysAndOnlyThere) {
+  util::Rng rng(2718);
+  std::size_t refused = 0;
+  for (std::size_t max_m : {16, 64, 512}) {
+    for (std::size_t n : {10, 62}) {
+      for (std::size_t k : {40, 127, 128, 300, 784}) {
+        std::vector<double> x(max_m * k), w(n * k);
+        for (auto& v : x) v = rng.normal();
+        for (auto& v : w) v = rng.normal();
+        const bool invariant = abt_rows_call_invariant(max_m, n, k);
+        refused += invariant ? 0 : 1;
+        for_each_variant([&](KernelIsa) {
+          std::vector<double> full(max_m * n);
+          gemm_packed(Trans::kNo, Trans::kYes, max_m, n, k, 1.0, x, w, 0.0,
+                      full);
+          std::size_t differing = 0;
+          for (std::size_t m : {std::size_t{1}, std::size_t{3},
+                                std::size_t{8}, max_m / 2}) {
+            std::vector<double> part(m * n);
+            gemm_packed(Trans::kNo, Trans::kYes, m, n, k, 1.0,
+                        std::span(x).first(m * k), w, 0.0, part);
+            for (std::size_t e = 0; e < m * n; ++e) {
+              differing += same_bits(part[e], full[e]) ? 0 : 1;
+            }
+          }
+          if (invariant) {
+            EXPECT_EQ(differing, 0U)
+                << "max_m=" << max_m << " n=" << n << " k=" << k;
+          } else {
+            EXPECT_GT(differing, 0U)
+                << "max_m=" << max_m << " n=" << n << " k=" << k;
+          }
+        });
+      }
+    }
+  }
+  EXPECT_EQ(refused, 6U);  // 512 rows at k >= 128
+}
+
 }  // namespace
 }  // namespace fedvr::tensor

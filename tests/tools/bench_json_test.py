@@ -31,6 +31,26 @@ RAW = {
 }
 
 
+# What --benchmark_repetitions=3 --benchmark_report_aggregates_only=true
+# prints: aggregate rows only, named <run_name>_<aggregate>.
+def aggregate(run_name, stat, real, cpu, **extra):
+    return dict({"name": f"{run_name}_{stat}", "run_name": run_name,
+                 "run_type": "aggregate", "aggregate_name": stat,
+                 "repetitions": 3, "iterations": 3, "real_time": real,
+                 "cpu_time": cpu, "time_unit": "us"}, **extra)
+
+
+RAW_REPEATED = {
+    "context": RAW["context"],
+    "benchmarks": [
+        aggregate("BM_Round", "mean", 2.0, 1.0, allocs_per_round=12.5),
+        aggregate("BM_Round", "median", 1.5, 0.75, allocs_per_round=11.8),
+        aggregate("BM_Round", "stddev", 0.5, 0.25, allocs_per_round=0.1),
+        aggregate("BM_Round", "cv", 0.25, 0.25, allocs_per_round=0.01),
+    ],
+}
+
+
 class SummarizeTest(unittest.TestCase):
     def test_times_are_nanoseconds(self):
         rows = {r["name"]: r for r in bench_json.summarize(RAW)["benchmarks"]}
@@ -46,6 +66,15 @@ class SummarizeTest(unittest.TestCase):
         self.assertEqual(ctx["pool_threads"], 4)
         self.assertEqual(ctx["libbenchmark_build_type"], "debug")
         self.assertNotIn("library_build_type", ctx)
+
+    def test_repetitions_keep_the_median_under_the_benchmark_name(self):
+        summary = bench_json.summarize(RAW_REPEATED)
+        self.assertEqual(summary["context"]["repetitions"], 3)
+        self.assertEqual(summary["benchmarks"], [{
+            "name": "BM_Round", "real_time_ns": 1500.0,
+            "cpu_time_ns": 750.0, "allocs_per_round": 11.8}])
+        self.assertEqual(bench_json.summarize(RAW)["context"]["repetitions"],
+                         1)
 
     def test_carries_over_curated_keys(self):
         with tempfile.TemporaryDirectory() as d:

@@ -218,6 +218,51 @@ TEST(Rng, SampleSubsetSortedCostIsIndependentOfPopulation) {
   for (auto v : out) EXPECT_LT(v, 1'000'000'000u);
 }
 
+// Outputs recorded from the std::unordered_set implementation: the
+// membership set's storage must not change a draw. Two calls per stream,
+// then the next raw draw, so the number of draws each call makes is pinned
+// too.
+TEST(Rng, SampleSubsetSortedKeepsItsPinnedOutputs) {
+  struct Case {
+    std::uint64_t seed;
+    std::size_t n;
+    std::size_t k;
+    std::vector<std::size_t> second;
+    std::uint64_t next;
+  };
+  const std::vector<Case> cases = {
+      {3, 10, 4, {1, 2, 3, 7}, 17382059060629927385ULL},
+      {11,
+       1000,
+       12,
+       {22, 74, 91, 182, 197, 287, 371, 565, 831, 841, 966, 988},
+       18298105661121217373ULL},
+      {41, 65, 33, {2,  3,  6,  9,  10, 14, 16, 17, 21, 23, 24,
+                    25, 26, 29, 31, 32, 36, 38, 39, 40, 42, 44,
+                    49, 51, 52, 54, 55, 56, 57, 60, 62, 63, 64},
+       15513982146176663878ULL},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    std::vector<std::size_t> out;
+    rng.sample_subset_sorted(c.n, c.k, out);
+    rng.sample_subset_sorted(c.n, c.k, out);
+    EXPECT_EQ(out, c.second) << "seed " << c.seed;
+    EXPECT_EQ(rng(), c.next) << "seed " << c.seed;
+  }
+  // fleet_sampled's draw: 64 of 10^5 devices, folded.
+  Rng rng(29);
+  std::vector<std::size_t> out;
+  rng.sample_subset_sorted(100'000, 64, out);
+  rng.sample_subset_sorted(100'000, 64, out);
+  std::uint64_t fold = 0;
+  for (const std::size_t v : out) fold = fold * 1000003ULL + v;
+  EXPECT_EQ(fold, 17303500721644041825ULL);
+  EXPECT_EQ(out.front(), 1077U);
+  EXPECT_EQ(out.back(), 99558U);
+  EXPECT_EQ(rng(), 1472327243132078548ULL);
+}
+
 TEST(Rng, MatchesXoshiro256StarStarReference) {
   // Blackman & Vigna's reference next(), seeded with four SplitMix64 words
   // of the seed, written out independently of the class.

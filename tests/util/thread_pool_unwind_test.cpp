@@ -1,10 +1,10 @@
 // parallel_for's chunks call through references into the caller's frame (the
-// callable and parallel_ranges' type-erased wrapper), so parallel_for must
-// never return or throw while a chunk it enqueued may still run. This binary
-// replaces the global operator new with one that can be armed to throw once
-// on the calling thread, and fails each caller-side allocation of a warm
-// two-chunk parallel_for in turn. A binary of its own: the replacement
-// applies to the whole process.
+// callable, parallel_ranges' type-erased wrapper and the fan-out's job
+// record), so parallel_for must never return or throw while a chunk it
+// enqueued may still run. This binary replaces the global operator new with
+// one that can be armed to throw once on the calling thread, and fails each
+// caller-side allocation of a two-chunk parallel_for in turn. A binary of
+// its own: the replacement applies to the whole process.
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -44,22 +44,40 @@ namespace {
 
 // Fails the caller's 0th, 1st, 2nd, ... allocation of a two-chunk
 // parallel_for until a call makes fewer allocations than that and returns.
-// Chunk 0 sleeps, so when a later enqueue throws it is still queued or
-// running. Wherever parallel_for throws, every chunk that started must
-// have finished, and no chunk may start after it returned or threw.
+// A warm fan-out allocates nothing (its chunks fit std::function's local
+// buffer, and the task queue keeps its storage), so each call runs on a
+// fresh pool of two workers that two blockers hold busy, with one filler
+// task queued. Chunk 0 then takes the queue's last free slot and chunk 1's
+// enqueue has to grow the queue: that is the allocation that fails, with
+// chunk 0 still queued until a helper thread releases the blockers. Wherever
+// parallel_for throws, every chunk that started must have finished, and no
+// chunk may start after it returned or threw.
 void sweep_failing_allocation() {
   using std::chrono::milliseconds;
-  ThreadPool pool(2);
   std::atomic<int> started{0};
   std::atomic<int> finished{0};
-  auto body = [&](std::size_t i) {
+  auto body = [&](std::size_t) {
     started.fetch_add(1);
-    if (i == 0) std::this_thread::sleep_for(milliseconds(30));
     finished.fetch_add(1);
   };
-  pool.parallel_for(0, 2, body);  // warm: queue storage, obs metric names
   int throws = 0;
   for (long fail = 0; fail < 64; ++fail) {
+    ThreadPool pool(2);
+    pool.parallel_for(0, 2, body);  // warm: obs metric names
+    std::atomic<bool> release{false};
+    std::atomic<int> blocked{0};
+    const auto blocker = [&] {
+      blocked.fetch_add(1);
+      while (!release.load()) std::this_thread::sleep_for(milliseconds(1));
+    };
+    auto first = pool.submit(blocker);
+    auto second = pool.submit(blocker);
+    while (blocked.load() < 2) std::this_thread::yield();
+    auto filler = pool.submit([] {});
+    std::thread releaser([&] {
+      std::this_thread::sleep_for(milliseconds(30));
+      release.store(true);
+    });
     started = 0;
     finished = 0;
     t_allocs_before_throw = fail;
@@ -74,6 +92,10 @@ void sweep_failing_allocation() {
     }
     t_allocs_before_throw = -1;
     const int at_exit = started.load();
+    releaser.join();
+    first.get();
+    second.get();
+    filler.get();
     // A chunk left queued would start well within this.
     std::this_thread::sleep_for(milliseconds(60));
     EXPECT_EQ(started.load(), at_exit)

@@ -11,9 +11,14 @@ report them; libbenchmark_build_type is the installed libbenchmark's.
 Top-level keys of an existing output file that this tool does not write
 (pre_blocking_baseline) are carried over.
 
+With --repetitions N (N > 1) each benchmark runs N times and its row is the
+median of the N runs (google-benchmark's median aggregate), recorded under
+the benchmark's own name; the context records N as `repetitions`.
+
 Usage:
     python3 tools/bench_json.py --binary build/bench/micro_kernels
     python3 tools/bench_json.py --binary ... --min-time 0.01 --out /tmp/b.json
+    python3 tools/bench_json.py --binary ... --repetitions 5
 """
 
 import argparse
@@ -24,7 +29,7 @@ import sys
 
 
 def run_benchmark(binary: pathlib.Path, min_time: float,
-                  benchmark_filter: str) -> dict:
+                  benchmark_filter: str, repetitions: int = 1) -> dict:
     cmd = [
         str(binary),
         "--benchmark_format=json",
@@ -32,6 +37,9 @@ def run_benchmark(binary: pathlib.Path, min_time: float,
         # float string (no "s" suffix) works everywhere.
         f"--benchmark_min_time={min_time:g}",
     ]
+    if repetitions > 1:
+        cmd += [f"--benchmark_repetitions={repetitions}",
+                "--benchmark_report_aggregates_only=true"]
     if benchmark_filter:
         cmd.append(f"--benchmark_filter={benchmark_filter}")
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, check=True)
@@ -43,18 +51,28 @@ NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def summarize(raw: dict) -> dict:
+    """One row per benchmark: its single run, or the median aggregate of its
+    repetitions under the benchmark's own name. Other aggregates (mean,
+    stddev, cv) are dropped."""
     ctx = raw.get("context", {})
     rows = []
+    repetitions = 1
     for b in raw.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
-            continue
+            if b.get("aggregate_name") != "median":
+                continue
+            name = b["run_name"]
+            repetitions = max(repetitions, int(b.get("repetitions", 1)))
+        else:
+            name = b["name"]
         ns = NS_PER_UNIT[b.get("time_unit", "ns")]
         row = {
-            "name": b["name"],
+            "name": name,
             "real_time_ns": round(b["real_time"] * ns, 1),
             "cpu_time_ns": round(b["cpu_time"] * ns, 1),
-            "iterations": b["iterations"],
         }
+        if b.get("run_type") != "aggregate":
+            row["iterations"] = b["iterations"]
         if "items_per_second" in b:
             # items == FLOPs for the GEMM benchmarks, so this is FLOP/s.
             row["items_per_second"] = round(b["items_per_second"], 1)
@@ -81,6 +99,7 @@ def summarize(raw: dict) -> dict:
             "build_type": ctx.get("fedvr_build_type", ""),
             "pool_threads": int(ctx.get("fedvr_pool_threads", 0)),
             "libbenchmark_build_type": ctx.get("library_build_type", ""),
+            "repetitions": repetitions,
         },
         "benchmarks": rows,
     }
@@ -109,13 +128,19 @@ def main() -> int:
                         help="--benchmark_min_time per benchmark, seconds")
     parser.add_argument("--filter", default="",
                         help="optional --benchmark_filter regex")
+    parser.add_argument("--repetitions", type=int, default=1,
+                        help="runs per benchmark; above 1, each row is the "
+                        "median of the runs")
     args = parser.parse_args()
+    if args.repetitions < 1:
+        parser.error("--repetitions must be at least 1")
 
     if not args.binary.exists():
         print(f"error: benchmark binary not found: {args.binary}",
               file=sys.stderr)
         return 1
-    raw = run_benchmark(args.binary, args.min_time, args.filter)
+    raw = run_benchmark(args.binary, args.min_time, args.filter,
+                        args.repetitions)
     summary = summarize(raw)
     summary.update(carried_over(args.out))
     args.out.write_text(json.dumps(summary, indent=2) + "\n")
