@@ -55,7 +55,7 @@ opt::LocalSolverOptions solver_options() {
   return o;
 }
 
-// Shared skeleton: one warm run primes the thread-pool arenas and the
+// Shared skeleton: one warm run primes the threads' kernel scratch and the
 // per-thread solver workspaces outside the timing loop, then the heap
 // allocations across the timed runs are charged per round. The count is
 // read right after the loop, before the counter map's own insertions.

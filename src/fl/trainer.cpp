@@ -708,19 +708,29 @@ EvalBuffers& eval_buffers() {
 
 double Trainer::global_loss(std::span<const double> w) const {
   const std::size_t num_devices = fed_->num_devices();
+  // Devices are evaluated in fixed waves, so the buffers hold one wave
+  // however large the fleet. Each wave folds onto the running total
+  // serially, in ascending device order: Σ_n p_n F_n keeps the bits of one
+  // ascending loop over the whole fleet.
+  constexpr std::size_t kWave = 4096;
+  const std::size_t wave = std::min(kWave, num_devices);
   std::vector<double>& per_device = eval_buffers().per_device;
   std::vector<double>& weights = eval_buffers().weights;
-  per_device.assign(num_devices, 0.0);
-  weights.assign(num_devices, 0.0);
-  util::ThreadPool::global().parallel_for(0, num_devices, [&](std::size_t n) {
-    data::Dataset scratch;
-    per_device[n] = model_->full_loss(w, fed_->train(n, scratch));
-    weights[n] = fed_->weight(n);
-  });
-  // Σ_n p_n F_n via the sanctioned serial ascending reduction — same
-  // accumulation order as the historical inline loop, so traces stay
-  // hash-identical.
-  return tensor::weighted_sum(weights, per_device);
+  per_device.resize(wave);  // every wave overwrites its prefix
+  weights.resize(wave);
+  double total = 0.0;
+  for (std::size_t base = 0; base < num_devices; base += wave) {
+    const std::size_t count = std::min(wave, num_devices - base);
+    util::ThreadPool::global().parallel_for(0, count, [&](std::size_t i) {
+      data::Dataset scratch;
+      per_device[i] = model_->full_loss(w, fed_->train(base + i, scratch));
+      weights[i] = fed_->weight(base + i);
+    });
+    total = tensor::weighted_sum_onto(
+        total, std::span<const double>(weights).first(count),
+        std::span<const double>(per_device).first(count));
+  }
+  return total;
 }
 
 double Trainer::global_grad_norm_sq(std::span<const double> w) const {

@@ -1,7 +1,6 @@
 #include "nn/conv2d.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "tensor/arena.h"
 #include "tensor/kernels.h"
@@ -19,6 +18,10 @@ namespace {
 // the dW reduction order (ascending sample within a block, ascending block)
 // is identical for serial and parallel runs: the determinism contract.
 constexpr std::size_t kGradBlock = 4;
+
+// The calling thread's im2col columns (tensor/arena.h). Forward and
+// backward share them: neither runs inside the other.
+thread_local tensor::AlignedVector<double> tls_cols;
 
 }  // namespace
 
@@ -55,8 +58,7 @@ void Conv2dLayer::forward(std::span<const double> w, std::size_t batch,
   // (caching columns for every sample at once would cost
   // batch*col_rows*pixels doubles — tens of MB for the paper's CNN).
   util::ThreadPool::global().parallel_for(0, batch, [&](std::size_t s) {
-    tensor::Workspace ws(tensor::scratch_arena());
-    auto cols = ws.alloc<double>(col_rows * pixels);
+    const auto cols = tensor::scratch(tls_cols, col_rows * pixels);
     const auto image = x.subspan(s * in_size(), in_size());
     auto out = y.subspan(s * out_size(), out_size());
     tensor::im2col(geometry_, image, cols);
@@ -98,19 +100,20 @@ void Conv2dLayer::backward(std::span<const double> w, std::size_t batch,
   const std::size_t nblocks = (batch + kGradBlock - 1) / kGradBlock;
   const std::size_t wsize = out_channels_ * col_rows;
   const std::size_t psize = wsize + out_channels_;  // dW^T partial + db partial
-  tensor::Workspace ws(tensor::scratch_arena());
-  auto partials = ws.alloc_zeroed<double>(nblocks * psize);
+  thread_local tensor::AlignedVector<double> partials_buf;
+  const auto partials = tensor::scratch(partials_buf, nblocks * psize);
+  tensor::fill(partials, 0.0);
   // W^T materialized once so every d_cols GEMM reads unit-stride operands
   // instead of re-packing the transposed weights per sample.
-  auto wt = ws.alloc<double>(dx.empty() ? 0 : col_rows * out_channels_);
+  thread_local tensor::AlignedVector<double> wt_buf;
+  const auto wt =
+      tensor::scratch(wt_buf, dx.empty() ? 0 : col_rows * out_channels_);
   if (!dx.empty()) tensor::transpose(out_channels_, col_rows, weights, wt);
 
   util::ThreadPool::global().parallel_for(0, nblocks, [&](std::size_t blk) {
-    tensor::Workspace wws(tensor::scratch_arena());
-    auto cols = wws.alloc<double>(col_rows * pixels);
-    auto pw = std::span<double>(partials).subspan(blk * psize, wsize);
-    auto pb = std::span<double>(partials).subspan(blk * psize + wsize,
-                                                  out_channels_);
+    const auto cols = tensor::scratch(tls_cols, col_rows * pixels);
+    auto pw = partials.subspan(blk * psize, wsize);
+    auto pb = partials.subspan(blk * psize + wsize, out_channels_);
     const std::size_t s_end = std::min(batch, (blk + 1) * kGradBlock);
     for (std::size_t s = blk * kGradBlock; s < s_end; ++s) {
       const auto image = x.subspan(s * in_size(), in_size());
@@ -136,8 +139,7 @@ void Conv2dLayer::backward(std::span<const double> w, std::size_t batch,
   });
 
   for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    const auto part =
-        std::span<const double>(partials).subspan(blk * psize, psize);
+    const std::span<const double> part = partials.subspan(blk * psize, psize);
     tensor::add_transposed(out_channels_, col_rows, part.subspan(0, wsize),
                            d_weights);
     tensor::axpy(1.0, part.subspan(wsize, out_channels_), d_bias);

@@ -59,8 +59,8 @@ void DenseLayer::param_gradient(std::size_t batch, std::span<const double> x,
   tensor::gemm_packed(tensor::Trans::kYes, tensor::Trans::kNo, out_, in_,
                       batch, 1.0, dy, x, 1.0, d_weights);
   // db += column sums of dy
-  tensor::Workspace ws(tensor::scratch_arena());
-  auto bias_grad = ws.alloc<double>(out_);
+  thread_local tensor::AlignedVector<double> bias_grad_buf;
+  const auto bias_grad = tensor::scratch(bias_grad_buf, out_);
   tensor::sum_rows(batch, out_, dy, bias_grad);
   tensor::axpy(1.0, bias_grad, d_bias);
 }

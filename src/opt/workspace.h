@@ -55,12 +55,12 @@ struct SolverWorkspace {
 
 /// The calling thread's workspace, created on first use and kept, with the
 /// capacity of the largest model it served, until the thread exits (the
-/// idiom of nn's eval scratch and tensor::scratch_arena()). One device step
-/// runs on one thread and never starts another step on that thread: a
-/// nested parallel_for runs inline, and a thread that fans out waits
-/// without running a chunk. So no two live steps share a workspace, and
-/// because solve() overwrites everything it reads, no result depends on
-/// which thread a step runs on.
+/// idiom of nn's eval scratch and the kernels' scratch, tensor/arena.h).
+/// One device step runs on one thread and never starts another step on
+/// that thread: a nested parallel_for runs inline, and a thread that fans
+/// out waits without running a chunk. So no two live steps share a
+/// workspace, and because solve() overwrites everything it reads, no
+/// result depends on which thread a step runs on.
 [[nodiscard]] inline SolverWorkspace& thread_workspace() {
   thread_local SolverWorkspace ws;
   return ws;

@@ -94,7 +94,7 @@ inline double op_at(Trans trans, std::span<const double> m, std::size_t ld,
 
 // Packs the transpose of a stored (cols x rows) matrix with row stride ld
 // into `out` as a (rows x cols) row-major matrix. `out` is caller-provided
-// (arena) storage of exactly rows * cols doubles.
+// storage of exactly rows * cols doubles.
 void pack_transposed(std::size_t rows, std::size_t cols,
                      std::span<const double> src, std::size_t ld,
                      std::span<double> out) {
@@ -372,17 +372,16 @@ void gemm_blocked(const KernelShape& ks, Trans trans_a, Trans trans_b,
                   std::span<const double> a, std::size_t lda,
                   std::span<const double> b, std::size_t ldb,
                   std::span<double> c, std::size_t ldc) {
-  // One B-panel allocation per gemm call, sized for the largest (p0, j0)
-  // panel; each iteration packs into its prefix. The panel lives on the
-  // calling thread's arena and is read-only for the workers (parallel_for's
-  // task handoff publishes it); workers draw their A blocks from their own
-  // per-thread arenas (inline execution nests scopes LIFO on this one).
+  // One B panel per gemm call, sized for the largest (p0, j0) panel; each
+  // iteration packs into its prefix. The panel is the calling thread's
+  // scratch and is read-only for the workers (parallel_for's task handoff
+  // publishes it); each worker packs its A blocks into its own.
   const std::size_t mr_t = ks.mr;
   const std::size_t nr_t = ks.nr;
-  Workspace ws(scratch_arena());
+  thread_local AlignedVector<double> b_panel_buf;
   const std::size_t max_pb = std::min(kKc, k);
-  auto b_panel =
-      ws.alloc<double>((std::min(kNc, n) + nr_t - 1) / nr_t * max_pb * nr_t);
+  const auto b_panel = scratch(
+      b_panel_buf, (std::min(kNc, n) + nr_t - 1) / nr_t * max_pb * nr_t);
   const std::size_t a_block_doubles = (kMc + mr_t - 1) / mr_t * max_pb * mr_t;
   for (std::size_t j0 = 0; j0 < n; j0 += kNc) {
     const std::size_t jb = std::min(kNc, n - j0);
@@ -395,8 +394,8 @@ void gemm_blocked(const KernelShape& ks, Trans trans_a, Trans trans_b,
       const std::size_t iblocks = (m + kMc - 1) / kMc;
       util::ThreadPool::global().parallel_for(
           0, iblocks, [&](std::size_t blk) {
-            Workspace wws(scratch_arena());
-            const auto a_block = wws.alloc<double>(a_block_doubles);
+            thread_local AlignedVector<double> a_block_buf;
+            const auto a_block = scratch(a_block_buf, a_block_doubles);
             const std::size_t i0 = blk * kMc;
             const std::size_t ib = std::min(kMc, m - i0);
             const std::size_t groups = (ib + mr_t - 1) / mr_t;
@@ -503,19 +502,20 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
 
   // Small-product path: a transposed operand is packed into untransposed
   // layout (linear cost against a cubic product) so one kernel serves all
-  // four combinations; an untransposed one is read in place. Pack storage
-  // comes from the per-thread arena scope.
-  Workspace ws(scratch_arena());
+  // four combinations; an untransposed one is read in place. The packs are
+  // the calling thread's scratch.
   const double* a_ptr = a.data();
   const double* b_ptr = b.data();
   if (trans_a == Trans::kYes) {
-    auto a_pack = ws.alloc<double>(m * k);
+    thread_local AlignedVector<double> a_pack_buf;
+    const auto a_pack = scratch(a_pack_buf, m * k);
     pack_transposed(m, k, a, lda, a_pack);
     a_ptr = a_pack.data();
     lda = k;
   }
   if (trans_b == Trans::kYes) {
-    auto b_pack = ws.alloc<double>(k * n);
+    thread_local AlignedVector<double> b_pack_buf;
+    const auto b_pack = scratch(b_pack_buf, k * n);
     pack_transposed(k, n, b, ldb, b_pack);
     b_ptr = b_pack.data();
     ldb = n;

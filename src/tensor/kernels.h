@@ -23,14 +23,6 @@ namespace fedvr::tensor {
 
 enum class Trans { kNo, kYes };
 
-/// Per-thread kernel scratch above this many doubles (8 MiB) is released
-/// once the current episode no longer needs it, rather than retained for
-/// the lifetime of the thread — one outlier shape must not pin that much
-/// memory per pool worker forever. The kernels draw their scratch from
-/// tensor::scratch_arena() (arena.h), whose end-of-episode trim enforces
-/// this cap.
-constexpr std::size_t kScratchCapDoubles = 1U << 20;
-
 /// C = alpha * op(A) * op(B) + beta * C.
 /// A is (m x k) after op, B is (k x n) after op, C is (m x n).
 /// Dimensions passed are the *post-op* m, n, k; lda/ldb are the true row

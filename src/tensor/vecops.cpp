@@ -89,8 +89,12 @@ double sum(std::span<const double> x) {
   return acc;
 }
 
-double weighted_sum(std::span<const double> w, std::span<const double> v) {
-  return dot(w, v);
+double weighted_sum_onto(double acc, std::span<const double> w,
+                         std::span<const double> v) {
+  check_same_size(w, v);
+  const std::size_t n = w.size();
+  for (std::size_t i = 0; i < n; ++i) acc += w[i] * v[i];
+  return acc;
 }
 
 void diff_plus(std::span<const double> x, std::span<const double> y,

@@ -61,11 +61,12 @@ void accumulate_weighted(double w, std::span<const double> x,
 /// in one audited place (see the fp-reduction-in-seam analyzer rule).
 [[nodiscard]] double sum(std::span<const double> x);
 
-/// Σ w_i · v_i, serial ascending: the scalar companion of
-/// accumulate_weighted for weighted means over per-device values
-/// (e.g. the global loss Σ_n p_n F_n).
-[[nodiscard]] double weighted_sum(std::span<const double> w,
-                                  std::span<const double> v);
+/// acc + Σ w_i · v_i, taking acc += w_i · v_i serially for i ascending: the
+/// scalar companion of accumulate_weighted for weighted means over
+/// per-device values (e.g. the global loss Σ_n p_n F_n). A sum folded over
+/// consecutive waves of values has the bits of one call over all of them.
+[[nodiscard]] double weighted_sum_onto(double acc, std::span<const double> w,
+                                       std::span<const double> v);
 
 /// out = (x - y) + z in one pass: the SVRG direction
 /// v_t = grad f_i(w_t) - grad f_i(w_0) + v_0 (paper eq. (8b)).

@@ -225,5 +225,26 @@ TEST(TrainerEvent, VirtualAndInMemoryFederationsAgreeBitForBit) {
   EXPECT_EQ(a.final_param_hash, b.final_param_hash);
 }
 
+// global_loss evaluates the fleet in waves of 4,096 devices and folds each
+// wave onto one running total: over several waves with an uneven last one,
+// at any pool size, it is the plain ascending Σ_n p_n F_n bit for bit.
+TEST(TrainerEvent, GlobalLossInWavesIsTheAscendingSum) {
+  auto model = std::make_shared<QuadraticModel>(kDim);
+  const auto fleet = virtual_quadratic_fleet(2 * 4096 + 1237);
+  const Trainer trainer(model, fleet, TrainerOptions{});
+  const std::vector<double> w = {0.5, -1.0, 2.0, 0.25, 3.0};
+  double expected = 0.0;
+  data::Dataset scratch;
+  for (std::size_t n = 0; n < fleet->num_devices(); ++n) {
+    expected +=
+        fleet->weight(n) * model->full_loss(w, fleet->train(n, scratch));
+  }
+  for (std::size_t threads : {1, 3}) {
+    util::ThreadPool::reset_global(threads);
+    EXPECT_EQ(trainer.global_loss(w), expected) << threads << " threads";
+  }
+  util::ThreadPool::reset_global(0);
+}
+
 }  // namespace
 }  // namespace fedvr::fl

@@ -92,6 +92,22 @@ TEST(AllocFree, SmallCnnGradient) {
   EXPECT_EQ(third_call_allocations(*make_two_layer_cnn(cfg), ds, 8), 0u);
 }
 
+// A conv backward that holds more than 8 MiB of scratch at once: 64 rows
+// of this CNN need about 9.8 MB of conv2 weight-gradient partials, as the
+// paper's 28x28 32/64 CNN holds about 8.4 MB at 64 rows. Kernel scratch
+// that shrank back to 8 MiB after each smaller pass regrew in every call
+// (902 allocations and 103 MB per warm call of the paper's CNN). The 4x4
+// input keeps the arithmetic small; the partials grow with the channels.
+TEST(AllocFree, CnnGradientAboveEightMiBOfScratch) {
+  util::Rng rng(5);
+  const auto ds = random_dataset(tensor::Shape({1, 4, 4}), 64, 10, rng);
+  CnnConfig cfg;
+  cfg.side = 4;
+  cfg.conv1_channels = 48;
+  cfg.conv2_channels = 64;
+  EXPECT_EQ(third_call_allocations(*make_two_layer_cnn(cfg), ds, 64), 0u);
+}
+
 // The eval's per-device calls read the whole shard through the thread's
 // identity index span, so a warm call builds no index vector.
 TEST(AllocFree, FullBatchLossAndGradient) {

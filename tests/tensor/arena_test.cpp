@@ -1,9 +1,9 @@
-// Arena / Workspace: the preallocated scratch discipline behind the
-// zero-allocation hot paths. These tests pin the allocator contract the
-// kernels and solver workspaces rely on: alignment, LIFO scope rewind,
-// overflow fallback with regrow, the trim policy, and per-thread
-// isolation of scratch_arena().
+// Per-thread kernel scratch (tensor/arena.h): the spans scratch() hands
+// out start on a cache line, a buffer keeps its storage once it has met its
+// largest request, and each thread keeps buffers of its own.
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -17,144 +17,91 @@ namespace fedvr::tensor {
 namespace {
 
 bool aligned(const void* p) {
-  return reinterpret_cast<std::uintptr_t>(p) % Arena::kAlignment == 0;
+  return reinterpret_cast<std::uintptr_t>(p) % kCacheLine == 0;
 }
 
-TEST(Arena, SpansAreCacheLineAligned) {
-  Arena arena(1 << 12);
-  Workspace ws(arena);
-  // Deliberately awkward sizes: every span must still come back aligned.
-  for (std::size_t count : {1U, 3U, 7U, 13U, 64U, 65U}) {
-    EXPECT_TRUE(aligned(ws.alloc<double>(count).data())) << count;
-    EXPECT_TRUE(aligned(ws.alloc<std::uint8_t>(count).data())) << count;
+// A kernel-style site: one buffer per calling thread.
+std::span<double> thread_scratch(std::size_t n) {
+  thread_local AlignedVector<double> buf;
+  return scratch(buf, n);
+}
+
+TEST(Scratch, SpansStartOnACacheLine) {
+  for (std::size_t n : {1, 3, 8, 9, 100, 4096, 12345}) {
+    AlignedVector<double> buf;
+    const auto s = scratch(buf, n);
+    EXPECT_EQ(s.size(), n);
+    EXPECT_TRUE(aligned(s.data())) << n;
   }
 }
 
-TEST(Arena, ScopeExitRewindsCursorAndReusesStorage) {
-  Arena arena(1 << 12);
-  double* first = nullptr;
-  {
-    Workspace ws(arena);
-    first = ws.alloc<double>(100).data();
-    EXPECT_GT(arena.used_bytes(), 0U);
-  }
-  EXPECT_EQ(arena.used_bytes(), 0U);
-  const std::uint64_t heap_before = arena.stats().heap_events;
-  // Steady state: the next scope gets the same storage back, with no new
-  // heap traffic.
-  for (int round = 0; round < 10; ++round) {
-    Workspace ws(arena);
-    EXPECT_EQ(ws.alloc<double>(100).data(), first);
-  }
-  EXPECT_EQ(arena.stats().heap_events, heap_before);
-}
-
-TEST(Arena, NestedScopesRewindLifo) {
-  Arena arena(1 << 12);
-  Workspace outer(arena);
-  (void)outer.alloc<double>(8);
-  const std::size_t outer_used = arena.used_bytes();
-  double* inner_ptr = nullptr;
-  {
-    Workspace inner(arena);
-    inner_ptr = inner.alloc<double>(8).data();
-    EXPECT_GT(arena.used_bytes(), outer_used);
-  }
-  EXPECT_EQ(arena.used_bytes(), outer_used);
-  // The inner slot is free again: a sibling scope re-serves the same spot.
-  Workspace sibling(arena);
-  EXPECT_EQ(sibling.alloc<double>(8).data(), inner_ptr);
-}
-
-TEST(Arena, OverCapacityRequestsFallBackToHeapThenRegrow) {
-  Arena arena(/*capacity_bytes=*/128);
-  {
-    Workspace ws(arena);
-    auto big = ws.alloc<double>(1024);  // 8 KiB >> 128 B slab
-    EXPECT_EQ(big.size(), 1024U);
-    EXPECT_TRUE(aligned(big.data()));
-    big[0] = 1.0;
-    big[1023] = 2.0;  // the whole span must be writable
-    EXPECT_EQ(big[0] + big[1023], 3.0);
-  }
-  EXPECT_GE(arena.stats().overflow_allocs, 1U);
-  // End of episode regrew the slab: the same request now fits.
-  EXPECT_GE(arena.capacity_bytes(), 1024 * sizeof(double));
-  const std::uint64_t overflows = arena.stats().overflow_allocs;
-  const std::uint64_t heap_before = arena.stats().heap_events;
-  {
-    Workspace ws(arena);
-    (void)ws.alloc<double>(1024);
-  }
-  EXPECT_EQ(arena.stats().overflow_allocs, overflows);
-  EXPECT_EQ(arena.stats().heap_events, heap_before);
-}
-
-TEST(Arena, TrimShrinksSlabAfterSmallEpisode) {
-  Arena arena(/*capacity_bytes=*/0, /*trim_bytes=*/1 << 10);
-  {
-    Workspace ws(arena);
-    (void)ws.alloc<double>(4096);  // 32 KiB episode grows the slab
-  }
-  EXPECT_GE(arena.capacity_bytes(), 4096 * sizeof(double));
-  {
-    Workspace ws(arena);
-    (void)ws.alloc<double>(16);  // tiny episode under the trim cap
-  }
-  EXPECT_LE(arena.capacity_bytes(), std::size_t{1} << 10);
-}
-
-TEST(Arena, StatsTrackHighWaterAcrossScopes) {
-  Arena arena(1 << 14);
-  {
-    Workspace ws(arena);
-    (void)ws.alloc<double>(256);
-    (void)ws.alloc<double>(256);
-  }
-  EXPECT_GE(arena.stats().high_water_bytes, 2 * 256 * sizeof(double));
-  EXPECT_EQ(arena.stats().span_allocs, 2U);
-}
-
-TEST(Arena, ScratchArenaIsPerThread) {
-  Arena* main_arena = &scratch_arena();
-  Arena* other_arena = nullptr;
-  std::thread t([&] { other_arena = &scratch_arena(); });
-  t.join();
-  ASSERT_NE(other_arena, nullptr);
-  EXPECT_NE(main_arena, other_arena);
-  EXPECT_EQ(main_arena, &scratch_arena());
-}
-
-TEST(Arena, PoolWorkersUseIsolatedArenas) {
-  util::ThreadPool& pool = util::ThreadPool::global();
-  // Each task records its thread's arena; per-thread arenas mean no two
-  // concurrently-running tasks can collide on scratch, which is what lets
-  // kernels use workspaces from inside parallel_for bodies.
-  std::vector<Arena*> seen(8, nullptr);
-  pool.parallel_for(0, seen.size(), [&](std::size_t i) {
-    Workspace ws(scratch_arena());
-    auto s = ws.alloc<double>(64);
-    s[0] = static_cast<double>(i);
-    seen[i] = &scratch_arena();
-    EXPECT_EQ(s[0], static_cast<double>(i));
-  });
-  for (Arena* a : seen) EXPECT_NE(a, nullptr);
-}
-
-TEST(Arena, HeapEventCounterIsFlatInSteadyState) {
-  Arena& arena = scratch_arena();
-  // Warm up with the episode shape, then demand zero heap events.
-  for (int warm = 0; warm < 2; ++warm) {
-    Workspace ws(arena);
-    (void)ws.alloc<double>(512);
-  }
+TEST(Scratch, FirstRequestGrowsOnceWarmRequestReturnsTheSameStorage) {
+  AlignedVector<double> buf;
   const std::uint64_t before = arena_heap_events();
-  for (int round = 0; round < 100; ++round) {
-    Workspace ws(arena);
-    auto s = ws.alloc<double>(512);
-    s[511] = static_cast<double>(round);
+  const auto first = scratch(buf, 500);
+  EXPECT_EQ(arena_heap_events(), before + 1);
+  const auto again = scratch(buf, 500);
+  EXPECT_EQ(again.data(), first.data());
+  EXPECT_EQ(again.size(), 500U);
+  EXPECT_EQ(arena_heap_events(), before + 1);
+}
+
+TEST(Scratch, SmallerRequestAfterALargerOneKeepsTheStorage) {
+  AlignedVector<double> buf;
+  const double* storage = scratch(buf, 4096).data();
+  const std::size_t capacity = buf.capacity();
+  const std::uint64_t before = arena_heap_events();
+  for (std::size_t n : {16, 4000, 1, 4096}) {
+    const auto s = scratch(buf, n);
+    EXPECT_EQ(s.data(), storage) << n;
+    EXPECT_EQ(s.size(), n);
   }
+  // No trim: the buffer neither shrank nor moved.
+  EXPECT_EQ(buf.capacity(), capacity);
   EXPECT_EQ(arena_heap_events(), before);
+  // A request above the largest one so far grows the buffer.
+  EXPECT_EQ(scratch(buf, 4097).size(), 4097U);
+  EXPECT_EQ(arena_heap_events(), before + 1);
+}
+
+TEST(Scratch, ThreadsGetDistinctBuffers) {
+  const auto mine = thread_scratch(64);
+  std::fill(mine.begin(), mine.end(), 1.0);
+  EXPECT_EQ(thread_scratch(64).data(), mine.data());
+  const double* theirs = nullptr;
+  std::thread([&theirs] {
+    const auto s = thread_scratch(64);
+    std::fill(s.begin(), s.end(), 2.0);
+    theirs = s.data();
+  }).join();
+  EXPECT_NE(theirs, mine.data());
+  for (double v : mine) EXPECT_EQ(v, 1.0);
+}
+
+// On a pool worker, where the kernels' fan-outs run inline, a warm blocked
+// GEMM and a warm small GEMM that packs both operands grow no scratch.
+TEST(Scratch, WarmGemmGrowsNoScratch) {
+  const std::size_t big = 64;
+  const std::size_t small = 8;
+  std::vector<double> a(big * big, 0.5);
+  std::vector<double> b(big * big, 0.25);
+  std::vector<double> c(big * big);
+  const auto run = [&] {
+    gemm_packed(Trans::kNo, Trans::kNo, big, big, big, 1.0, a, b, 0.0, c);
+    gemm_packed(Trans::kYes, Trans::kYes, small, small, small, 1.0, a, b,
+                0.0, c);
+  };
+  util::ThreadPool pool(1);
+  const std::uint64_t grown = pool.submit([&] {
+                                    run();
+                                    const std::uint64_t before =
+                                        arena_heap_events();
+                                    run();
+                                    return arena_heap_events() - before;
+                                  })
+                                  .get();
+  EXPECT_EQ(grown, 0U);
+  EXPECT_EQ(c[0], static_cast<double>(small) * 0.5 * 0.25);
 }
 
 }  // namespace

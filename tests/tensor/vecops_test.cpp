@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -88,26 +89,47 @@ TEST(Vecops, SumIsSerialAscending) {
 
 TEST(Vecops, SumOfEmptyIsZero) {
   EXPECT_DOUBLE_EQ(sum({}), 0.0);
-  EXPECT_DOUBLE_EQ(weighted_sum({}, {}), 0.0);
+  EXPECT_DOUBLE_EQ(weighted_sum_onto(0.0, {}, {}), 0.0);
 }
 
 TEST(Vecops, WeightedSumMatchesAscendingLoopBitExact) {
-  // weighted_sum() pins the accumulation order the trainer's global-loss
-  // reduction has always used: acc += w[i] * v[i], ascending i.
+  // weighted_sum_onto() pins the accumulation order the trainer's
+  // global-loss reduction has always used: acc += w[i] * v[i], ascending i.
   Rng rng(13);
   std::vector<double> w(129), v(129);
   for (auto& e : w) e = rng.uniform();
   for (auto& e : v) e = rng.normal();
   double reference = 0.0;
   for (std::size_t i = 0; i < w.size(); ++i) reference += w[i] * v[i];
-  EXPECT_EQ(weighted_sum(w, v), reference);
-  EXPECT_EQ(weighted_sum(w, v), dot(w, v));
+  EXPECT_EQ(weighted_sum_onto(0.0, w, v), reference);
+  EXPECT_EQ(weighted_sum_onto(0.0, w, v), dot(w, v));
+}
+
+TEST(Vecops, WeightedSumOntoContinuesTheAscendingSum) {
+  // Folding uneven waves onto a running total gives the bits of one call
+  // over the whole range.
+  Rng rng(17);
+  std::vector<double> w(131), v(131);
+  for (auto& e : w) e = rng.uniform();
+  for (auto& e : v) e = rng.normal();
+  const std::span<const double> ws(w), vs(v);
+  double total = 0.0;
+  for (std::size_t base = 0; base < w.size(); base += 32) {
+    const std::size_t count = std::min<std::size_t>(32, w.size() - base);
+    total = weighted_sum_onto(total, ws.subspan(base, count),
+                              vs.subspan(base, count));
+  }
+  EXPECT_EQ(total, weighted_sum_onto(0.0, w, v));
+  // A nonzero start is the first addend.
+  double reference = 1.5;
+  for (std::size_t i = 0; i < w.size(); ++i) reference += w[i] * v[i];
+  EXPECT_EQ(weighted_sum_onto(1.5, w, v), reference);
 }
 
 TEST(Vecops, WeightedSumSizeMismatchThrows) {
   const std::vector<double> w = {1, 2};
   const std::vector<double> v = {1};
-  EXPECT_THROW((void)weighted_sum(w, v), Error);
+  EXPECT_THROW((void)weighted_sum_onto(0.0, w, v), Error);
 }
 
 TEST(Vecops, AccumulateWeightedIsWeightedSum) {

@@ -1,8 +1,8 @@
 // Counting replacements of the global operator new / delete, shared by
 // nn_alloc_test, fl_alloc_test and bench/micro_rounds. Every heap
 // allocation the process makes through operator new (containers,
-// std::function, shared_ptr control blocks, tensor::Arena slabs) bumps one
-// relaxed atomic and adds its size to another. Storage comes from
+// std::function, shared_ptr control blocks, the kernels' per-thread scratch
+// growing) bumps one relaxed atomic and adds its size to another. Storage comes from
 // malloc/aligned_alloc and goes back via free.
 #include "testing/alloc_counter.h"
 

@@ -6,7 +6,8 @@ target pragmas and attributes are allowed in src/tensor/kernels.cpp only.
 
 aligned-hot-buffers: a std::vector<double> member in the files that hold
 kernel-operand storage (Dataset, SolverWorkspace, Sequential's workspace,
-nn's EvalScratch) is a violation; those buffers are tensor::AlignedVector."""
+nn's EvalScratch, the kernels' per-thread scratch) is a violation; those
+buffers are tensor::AlignedVector."""
 
 import importlib.util
 import pathlib
@@ -111,6 +112,26 @@ class AlignedHotBuffersTest(LintFixture):
         for rel in ("src/fl/trainer.cpp", "src/data/synthetic.h",
                     "src/nn/model.h"):
             self.assertEqual(self.violations(rel, text), [], rel)
+
+    def test_kernel_scratch_files(self):
+        # The thread_local scratch the GEMM, conv and dense kernels take
+        # through tensor::scratch(), wherever it is declared in the file.
+        for rel in ("src/tensor/kernels.cpp", "src/nn/conv2d.cpp",
+                    "src/nn/dense.cpp"):
+            bad = ("namespace {\n"
+                   "thread_local std::vector<double> tls_cols;\n"
+                   "}\n"
+                   "void f() {\n"
+                   "  thread_local std::vector<double> b_panel_buf;\n"
+                   "}\n")
+            found = self.violations(rel, bad)
+            self.assertEqual(len(found), 2, rel)
+            self.assertIn(f"{rel}:2:", found[0])
+            self.assertIn(f"{rel}:5:", found[1])
+            good = ("thread_local tensor::AlignedVector<double> tls_cols;\n"
+                    "  thread_local AlignedVector<double> a_pack_buf;\n"
+                    "  const auto a_pack = scratch(a_pack_buf, m * k);\n")
+            self.assertEqual(self.violations(rel, good), [], rel)
 
     def test_feedforward_only_inside_eval_scratch(self):
         text = ("struct EvalScratch {\n"

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/error.h"
@@ -142,6 +143,18 @@ TEST(ParallelFor, NestedInsideWorkerRunsInline) {
   });
   EXPECT_FALSE(ThreadPool::in_worker());
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// The other half of what per-thread kernel scratch (tensor/arena.h) rests
+// on: a thread that fans out waits for its chunks without running any of
+// them, so a chunk never runs inside a kernel call on the same thread.
+TEST(ParallelFor, CallerRunsNoneOfItsChunks) {
+  ThreadPool pool(3);
+  std::vector<std::thread::id> ran_on(60);
+  pool.parallel_for(0, ran_on.size(), [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const auto& id : ran_on) EXPECT_NE(id, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, ResetGlobalChangesSizeAndRestores) {

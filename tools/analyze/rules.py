@@ -108,8 +108,9 @@ RULES: list[Rule] = [
         "no-alloc-in-hot-loop",
         "heap allocation inside a loop in the solver/tensor/core hot "
         "paths (sized vector construction, resize/push_back growth, new): "
-        "construct the buffer once in a SolverWorkspace / tensor::Workspace "
-        "and reuse it; reserve() ahead of the loop exempts push_back",
+        "keep the buffer where it outlives the loop (a SolverWorkspace, or "
+        "a thread_local buffer taken through tensor::scratch()) and reuse "
+        "it; reserve() ahead of the loop exempts push_back",
         lambda p: _under(p, HOT_LOOP_DIRS),
     ),
     # ---- ported from tools/lint.py (now call/token-expression precise) ----

@@ -82,7 +82,7 @@ def summarize(raw: dict) -> dict:
         # Round-throughput counters (micro_rounds): device activations/s,
         # local solver updates/s, and heap allocations per round (every
         # operator new the timed runs make, counted by the linked
-        # tests/testing/alloc_counter.cpp; not arena events).
+        # tests/testing/alloc_counter.cpp; not kernel-scratch growths).
         for key in ("devices_per_second", "updates_per_second",
                     "allocs_per_round"):
             if key in b:

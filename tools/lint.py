@@ -40,13 +40,17 @@ exactly what a *line* can decide without a parse:
 
   aligned-hot-buffers
                     The buffers the kernels stream (Dataset features, the
-                    solver workspace, nn's activations and eval scratch)
-                    are tensor::AlignedVector, so they start on a cache
-                    line. A std::vector<double> member in src/data/
-                    dataset.h, src/opt/workspace.h, src/nn/sequential.h or
-                    src/nn/feedforward.cpp's struct EvalScratch gets
-                    malloc's 16-byte alignment, and the AVX-512 tiles then
-                    read every row across two lines.
+                    solver workspace, nn's activations and eval scratch,
+                    the kernels' per-thread scratch) are
+                    tensor::AlignedVector, so they start on a cache line. A
+                    std::vector<double> member in src/data/dataset.h,
+                    src/opt/workspace.h, src/nn/sequential.h or
+                    src/nn/feedforward.cpp's struct EvalScratch, or a
+                    std::vector<double> declared anywhere in
+                    src/tensor/kernels.cpp, src/nn/conv2d.cpp or
+                    src/nn/dense.cpp, gets malloc's 16-byte alignment, and
+                    the AVX-512 tiles then read every row across two
+                    lines.
 
 False positives are silenced with `// lint:allow(<rule>) <why>` on the
 offending line or the line directly above it — the justification is
@@ -88,6 +92,10 @@ HOT_BUFFER_FILES = {
     "opt/workspace.h": "",
     "nn/sequential.h": "",
     "nn/feedforward.cpp": "EvalScratch",
+    # The kernels' thread_local scratch (tensor/arena.h).
+    "tensor/kernels.cpp": "",
+    "nn/conv2d.cpp": "",
+    "nn/dense.cpp": "",
 }
 # A member-shaped declaration: the type (possibly nested in another vector),
 # a name, then `;`, `{` or `=`. Parameters and return types do not match.
